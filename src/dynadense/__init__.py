@@ -7,7 +7,7 @@ Layers, bottom up:
 * :mod:`dynadense.udshp` — unit-weight densest-subset maintenance over
   doubling load guesses;
 * :mod:`dynadense.wdshp` — weighted maintenance via sampled unweighted
-  copies per density guess;
+  copies per density guess (rate-1 guesses share one ensemble);
 * :mod:`dynadense.oracles` — exhaustive and greedy baselines;
 * :mod:`dynadense.io` / :mod:`dynadense.stream` / :mod:`dynadense.cli`
   — temporal-stream benchmark harness.

@@ -98,9 +98,6 @@ class WeightedHypergraph:
     def max_weight(self) -> int:
         return max((w for _, w in self._edges.values()), default=0)
 
-    def total_weight(self) -> int:
-        return sum(w for _, w in self._edges.values())
-
 
 def density(graph: WeightedHypergraph, subset: Iterable[int]) -> Fraction:
     """Exact density of ``subset``: induced edge weight over subset size."""

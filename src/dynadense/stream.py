@@ -204,32 +204,39 @@ class _Driver:
     def live_edges(self) -> int:
         return len(self.mirror)
 
-    def query(self) -> Tuple[Optional[float], Set[int]]:
-        if len(self.mirror) == 0:
-            return 0.0, set()
-        if self.algo == "udshp":
-            return self._struct.max_density(), set(self._struct.densest_subset())
-        if self.algo == "wdshp":
-            est = self._struct.max_density()
-            if est <= 0.0:
-                # no guess qualifies: fall back to the full support
-                return est, self.mirror.support()
-            return est, set(self._struct.densest_subset())
-        if self.algo == "greedy":
-            res = greedy_peel(self.mirror)
-            return float(res.best_density), set(res.best_set)
-        # exact: only valid within the oracle's support limit
-        if len(self.mirror.support()) > self.config.oracle_support_limit:
-            return None, set()
-        res = exact_densest_bruteforce(self.mirror)
-        return float(res.best_density), set(res.best_set)
+    def report(self) -> Tuple[Optional[float], Set[int], Optional[float]]:
+        """Estimate, reported subset and exact density at a report point.
 
-    def exact_density(self) -> Optional[float]:
+        The exhaustive oracle runs at most once per report: within the
+        support limit its optimum fills the exact column and, for the
+        exact algorithm, the estimate and subset as well.
+        """
         if len(self.mirror) == 0:
-            return 0.0
-        if len(self.mirror.support()) > self.config.oracle_support_limit:
-            return None
-        return float(exact_densest_bruteforce(self.mirror).best_density)
+            return 0.0, set(), 0.0
+        est: Optional[float] = None
+        subset: Set[int] = set()
+        if self.algo == "udshp":
+            est, subset = self._struct.max_density(), set(self._struct.densest_subset())
+        elif self.algo == "wdshp":
+            est = self._struct.max_density()
+            if est > 0.0:
+                subset = set(self._struct.densest_subset())
+        elif self.algo == "greedy":
+            res = greedy_peel(self.mirror)
+            est, subset = float(res.best_density), set(res.best_set)
+        support = self.mirror.support()
+        if self.algo == "wdshp" and est <= 0.0:
+            # no guess qualifies: fall back to the full support
+            subset = support
+        if len(support) > self.config.oracle_support_limit:
+            # past the oracle's support limit the exact column, and the
+            # exact algorithm's answer, stay empty
+            return est, subset, None
+        oracle = exact_densest_bruteforce(self.mirror)
+        exact = float(oracle.best_density)
+        if self.algo == "exact":
+            est, subset = exact, set(oracle.best_set)
+        return est, subset, exact
 
 
 def run_stream(
@@ -316,8 +323,7 @@ def run_stream(
         nonlocal interval_updates, interval_time_ns, interval_max_ns
         if observer is not None:
             observer(report_time, driver.mirror)
-        est, subset = driver.query()
-        exact = driver.exact_density()
+        est, subset, exact = driver.report()
         avg_us = (
             interval_time_ns / interval_updates / 1000.0 if interval_updates else 0.0
         )

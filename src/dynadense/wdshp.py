@@ -2,9 +2,11 @@
 
 A geometric grid of density guesses covers the feasible range; for each
 guess, unweighted copies of every inserted edge are drawn binomially at
-the guess's sparsification rate and fed to a dedicated unweighted
-ensemble.  Queries pick the largest guess whose sampled structure is
-still dense and rescale its answer back to the weighted instance.
+the guess's sparsification rate and fed to an unweighted ensemble.
+Guesses at rate 1 draw no sample (every copy is kept), so they see the
+same input and share one ensemble; each sub-unit-rate guess has its own.
+Queries pick the largest guess whose sampled structure is still dense
+and rescale its answer back to the weighted instance.
 """
 
 from __future__ import annotations
@@ -97,24 +99,36 @@ class Wdshp:
         ]
         s_max = max(self.class_sizes)
 
-        root = np.random.SeedSequence(seed)
-        children = root.spawn(self.num_guesses * self.num_weight_classes)
-        self._rngs = [np.random.Generator(np.random.PCG64(s)) for s in children]
+        # per-(guess, weight-class) sampler streams, spawned from one root
+        # and built on a cell's first sub-unit-rate draw
+        self._root = np.random.SeedSequence(seed)
+        self._rngs: Dict[int, np.random.Generator] = {}
 
+        # rate-1 guesses get identical input and identical parameters, so
+        # one ensemble stands for all of them; ensembles[i] aliases it
         self.ensembles: List[Udshp] = []
+        # (representative guess, ensemble) per distinct ensemble
+        self._distinct: List[Tuple[int, Udshp]] = []
+        shared: Optional[Udshp] = None
         for i in range(self.num_guesses):
+            if self.q[i] >= 1.0 and shared is not None:
+                self.ensembles.append(shared)
+                continue
             w_star = max(w_max * self.q[i] / 2.0, 1.0)
-            self.ensembles.append(
-                Udshp(
-                    n,
-                    m_bound=m_bound * s_max,
-                    r=r,
-                    epsilon=eps,
-                    w_star=w_star,
-                    dup_constant=dup_constant,
-                )
+            ensemble = Udshp(
+                n,
+                m_bound=m_bound * s_max,
+                r=r,
+                epsilon=eps,
+                w_star=w_star,
+                dup_constant=dup_constant,
             )
-        # per public handle: weight and, per guess, the inner handles drawn
+            if self.q[i] >= 1.0:
+                shared = ensemble
+            self.ensembles.append(ensemble)
+            self._distinct.append((i, ensemble))
+        # per public handle: weight and, per distinct ensemble, the inner
+        # handles drawn
         self._registry: Dict[int, Tuple[EdgeVerts, int, List[List[int]]]] = {}
         self._next_handle = 0
 
@@ -132,7 +146,16 @@ class Wdshp:
             return size
         if q <= 0.0:
             return 0
-        rng = self._rngs[i * self.num_weight_classes + j]
+        cell = i * self.num_weight_classes + j
+        rng = self._rngs.get(cell)
+        if rng is None:
+            # the child SeedSequence.spawn would hand out at index ``cell``
+            child = np.random.SeedSequence(
+                self._root.entropy,
+                spawn_key=self._root.spawn_key + (cell,),
+                pool_size=self._root.pool_size,
+            )
+            rng = self._rngs[cell] = np.random.Generator(np.random.PCG64(child))
         return int(rng.binomial(size, q))
 
     def weight_class(self, weight: int) -> int:
@@ -149,20 +172,20 @@ class Wdshp:
                 f"weight {weight} outside the promised range [1, {self.w_max}]"
             )
         j = self.weight_class(weight)
-        per_guess: List[List[int]] = []
-        for i, ensemble in enumerate(self.ensembles):
+        per_ensemble: List[List[int]] = []
+        for i, ensemble in self._distinct:
             s = self.sample_count(i, j)
-            per_guess.append([ensemble.insert(verts) for _ in range(s)])
+            per_ensemble.append([ensemble.insert(verts) for _ in range(s)])
         handle = self._next_handle
         self._next_handle += 1
-        self._registry[handle] = (verts, weight, per_guess)
+        self._registry[handle] = (verts, weight, per_ensemble)
         return handle
 
     def delete(self, handle: int) -> None:
         if handle not in self._registry:
             raise ValueError(f"unknown edge handle {handle}")
-        _, _, per_guess = self._registry.pop(handle)
-        for ensemble, inner in zip(self.ensembles, per_guess):
+        _, _, per_ensemble = self._registry.pop(handle)
+        for (_, ensemble), inner in zip(self._distinct, per_ensemble):
             for h in inner:
                 ensemble.delete(h)
 

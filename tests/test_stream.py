@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import dynadense.stream as stream
 from dynadense.io import TemporalEvent
 from dynadense.stream import (
     ConfigError,
@@ -155,6 +156,26 @@ class TestRunStream:
         points, _ = run_stream(events, config)
         assert points[-1].density_estimate is None
         assert points[-1].exact_density is None
+
+    @pytest.mark.parametrize("algo", ["exact", "greedy"])
+    def test_oracle_runs_once_per_report(self, algo, monkeypatch):
+        calls = []
+        real = stream.exact_densest_bruteforce
+
+        def counting(graph):
+            calls.append(len(graph))
+            return real(graph)
+
+        monkeypatch.setattr(stream, "exact_densest_bruteforce", counting)
+        rng = random.Random(5)
+        events = random_events(rng, 60, n=10)
+        points, _ = run_stream(events, greedy_config(algo=algo))
+        assert len(points) > 3
+        assert len(calls) == len(points)
+        for p in points:
+            assert p.exact_density is not None
+            if algo == "exact":
+                assert p.density_estimate == p.exact_density
 
     def test_dedupe_collapses_identical_sets(self):
         events = [ev(0, (0, 1)), ev(1, (1, 0)), ev(2, (0, 1)), ev(3, (2, 3))]

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dynadense.model import WeightedHypergraph, density
 from dynadense.oracles import exact_densest_bruteforce
+from dynadense.udshp import Udshp
 from dynadense.wdshp import Wdshp, epsilon_from_delta
 
 
@@ -31,6 +33,10 @@ def small_instance(**kw):
     )
     args.update(kw)
     return Wdshp(**args)
+
+
+# a small sampling constant puts the upper guesses below rate 1
+SUBUNIT = dict(c=0.5, w_max=100)
 
 
 class TestConfig:
@@ -126,19 +132,89 @@ class TestUpdates:
             assert len(ensemble) == 0 and ensemble.active == 0
 
     def test_copy_conservation(self):
-        w = small_instance()
-        for k in range(5):
-            w.insert((k % 4, 4 + k % 3, 7), 2 * k + 1)
-        for i, ensemble in enumerate(w.ensembles):
-            recorded = sum(
-                len(per_guess[i]) for _, _, per_guess in w._registry.values()
-            )
-            assert len(ensemble) == recorded
+        for w in (small_instance(), small_instance(**SUBUNIT)):
+            for k in range(5):
+                w.insert((k % 4, 4 + k % 3, 7), 2 * k + 1)
+            distinct = [ensemble for _, ensemble in w._distinct]
+            # the registry's slots cover every ensemble any guess uses
+            assert {id(e) for e in w.ensembles} == {id(e) for e in distinct}
+            for slot, ensemble in enumerate(distinct):
+                recorded = sum(
+                    len(per_ensemble[slot])
+                    for _, _, per_ensemble in w._registry.values()
+                )
+                assert len(ensemble) == recorded
 
     def test_unknown_delete_rejected(self):
         w = small_instance()
         with pytest.raises(ValueError):
             w.delete(5)
+
+
+class TestSharedEnsemble:
+    @pytest.mark.parametrize("kw", [{}, SUBUNIT])
+    def test_rate_one_guesses_alias_one_ensemble(self, kw):
+        w = small_instance(**kw)
+        assert len(w.ensembles) == w.num_guesses
+        rate1 = [i for i, q in enumerate(w.q) if q >= 1.0]
+        subunit = [i for i, q in enumerate(w.q) if q < 1.0]
+        assert rate1
+        shared = w.ensembles[rate1[0]]
+        assert all(w.ensembles[i] is shared for i in rate1)
+        ids = {id(w.ensembles[i]) for i in subunit} | {id(shared)}
+        assert len(ids) == len(subunit) + 1 == len(w._distinct)
+        if kw:
+            assert subunit
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_ensemble_matches_standalone_udshp(self, seed):
+        # a nonzero duplication constant makes the inner dup depend on w_star
+        w = small_instance(dup_constant=0.02)
+        ref = Udshp(
+            w.n,
+            m_bound=w.m_bound * max(w.class_sizes),
+            r=w.r,
+            epsilon=w.epsilon,
+            w_star=max(w.w_max / 2.0, 1.0),
+            dup_constant=0.02,
+        )
+        shared = w.ensembles[0]
+        assert shared.dup == ref.dup > 1
+        rng = random.Random(seed)
+        live = {}  # Wdshp handle -> the reference's handles for its copies
+        for _ in range(40):
+            if live and rng.random() < 0.35:
+                h = rng.choice(sorted(live))
+                w.delete(h)
+                for ih in live.pop(h):
+                    ref.delete(ih)
+            elif len(live) < w.m_bound:
+                verts = tuple(sorted(rng.sample(range(w.n), rng.randint(2, 3))))
+                wt = rng.randint(1, w.w_max)
+                copies = w.class_sizes[w.weight_class(wt)]
+                live[w.insert(verts, wt)] = [ref.insert(verts) for _ in range(copies)]
+            assert len(shared) == len(ref)
+            assert shared.max_density() == ref.max_density()
+            if len(ref):
+                for mode in ("theory", "best-of-levels"):
+                    assert shared.densest_subset(mode) == ref.densest_subset(mode)
+
+    def test_sampler_streams_pinned_to_spawn_children(self):
+        seed = 11
+        w = small_instance(seed=seed, **SUBUNIT)
+        G, W = w.num_guesses, w.num_weight_classes
+        children = np.random.SeedSequence(seed).spawn(G * W)
+        subunit = [i for i, q in enumerate(w.q) if q < 1.0]
+        cells = [(subunit[0], 0), (subunit[0], W - 1), (subunit[-1], W // 2)]
+        # interleave the cells: each keeps its own stream
+        got = {cell: [] for cell in cells}
+        for _ in range(30):
+            for i, j in cells:
+                got[(i, j)].append(w.sample_count(i, j))
+        for i, j in cells:
+            rng = np.random.Generator(np.random.PCG64(children[i * W + j]))
+            want = [int(rng.binomial(w.class_sizes[j], w.q[i])) for _ in range(30)]
+            assert got[(i, j)] == want
 
 
 class TestQueries:
