@@ -29,7 +29,6 @@ from .stream import (
     RunSummary,
     assign_weights,
     run_stream,
-    summarize,
     write_csv,
     write_summary_json,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "load_events",
     "assign_weights",
     "run_stream",
-    "summarize",
     "write_csv",
     "write_summary_json",
 ]

@@ -12,6 +12,7 @@ from typing import List, Optional, Tuple
 
 from .io import FormatError, load_benson, load_events
 from .stream import (
+    DEFAULT_ORACLE_SUPPORT_LIMIT,
     ConfigError,
     RunConfig,
     assign_weights,
@@ -19,6 +20,7 @@ from .stream import (
     write_csv,
     write_summary_json,
 )
+from .udshp import DUPLICATION_CONSTANT
 
 
 def _parse_weights(spec: str) -> Tuple:
@@ -75,11 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None, metavar="R",
                    help="rank bound; larger events are rejected at load time")
     # desk-scale tuning knobs
-    p.add_argument("--dup-constant", type=float, default=None, metavar="F",
-                   help="override the duplication constant (default: analysis value)")
+    p.add_argument("--dup-constant", type=float, default=DUPLICATION_CONSTANT,
+                   metavar="F",
+                   help="duplication constant (default: %(default)s, the analysis value)")
     p.add_argument("--w-star", type=float, default=1.0, metavar="F",
                    help="promised lower bound on max edge multiplicity")
-    p.add_argument("--oracle-limit", type=int, default=18, metavar="N",
+    p.add_argument("--oracle-limit", type=int,
+                   default=DEFAULT_ORACLE_SUPPORT_LIMIT, metavar="N",
                    help="max live support for exact-density columns")
     return p
 
@@ -103,9 +107,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             no_timing=args.no_timing,
             oracle_support_limit=args.oracle_limit,
             w_star=args.w_star,
+            dup_constant=args.dup_constant,
         )
-        if args.dup_constant is not None:
-            config.dup_constant = args.dup_constant
         config.validate()
 
         if args.format == "benson":

@@ -58,10 +58,13 @@ def _read_int_tokens(path: Path) -> List[Tuple[int, int]]:
     return out
 
 
-def _remap_and_sort(
+def _finish_load(
     raw: List[Tuple[int, Tuple[int, ...], int]],
-) -> Tuple[List[TemporalEvent], int]:
-    """Dense-relabel vertices by first appearance; stable sort by time."""
+    rejected_dup: int,
+    rejected_rank: int,
+) -> Tuple[List[TemporalEvent], LoadReport]:
+    """Dense-relabel vertices by first appearance, stable sort by time,
+    and report the dataset shape with the rejection counters."""
     relabel: Dict[int, int] = {}
     events: List[TemporalEvent] = []
     for timestamp, verts, weight in raw:
@@ -72,7 +75,13 @@ def _remap_and_sort(
             mapped.append(relabel[v])
         events.append(TemporalEvent(timestamp, tuple(sorted(mapped)), weight))
     events.sort(key=lambda e: e.timestamp)
-    return events, len(relabel)
+    return events, LoadReport(
+        n=len(relabel),
+        m=len(events),
+        r=max((len(e.vertices) for e in events), default=0),
+        rejected_duplicate_vertex=rejected_dup,
+        rejected_rank=rejected_rank,
+    )
 
 
 def load_benson(
@@ -131,15 +140,7 @@ def load_benson(
             continue
         raw.append((timestamp, chunk, 1))
 
-    events, n = _remap_and_sort(raw)
-    r = max((len(e.vertices) for e in events), default=0)
-    return events, LoadReport(
-        n=n,
-        m=len(events),
-        r=r,
-        rejected_duplicate_vertex=rejected_dup,
-        rejected_rank=rejected_rank,
-    )
+    return _finish_load(raw, rejected_dup, rejected_rank)
 
 
 def load_events(
@@ -182,12 +183,4 @@ def load_events(
                 continue
             raw.append((timestamp, verts, weight))
 
-    events, n = _remap_and_sort(raw)
-    r = max((len(e.vertices) for e in events), default=0)
-    return events, LoadReport(
-        n=n,
-        m=len(events),
-        r=r,
-        rejected_duplicate_vertex=rejected_dup,
-        rejected_rank=rejected_rank,
-    )
+    return _finish_load(raw, rejected_dup, rejected_rank)

@@ -59,8 +59,6 @@ class RunConfig:
     oracle_support_limit: int = DEFAULT_ORACLE_SUPPORT_LIMIT
     w_star: float = 1.0
     dup_constant: float = DUPLICATION_CONSTANT
-    slack_constant: float = 32.0
-    sampling_constant: float = 8.0
 
     def validate(self) -> None:
         if self.mode not in ("insert", "window"):
@@ -153,7 +151,7 @@ class _Driver:
         self.config = config
         self.mirror = WeightedHypergraph(n, r)
         self.algo = config.algo
-        self._struct: Optional[object] = None
+        self._struct: Optional[Udshp | Wdshp] = None
         if self.algo == "udshp":
             self._struct = Udshp(
                 n,
@@ -162,7 +160,6 @@ class _Driver:
                 epsilon=config.epsilon,
                 w_star=config.w_star,
                 dup_constant=config.dup_constant,
-                slack_constant=config.slack_constant,
             )
         elif self.algo == "wdshp":
             self._struct = Wdshp(
@@ -171,7 +168,6 @@ class _Driver:
                 r=r,
                 delta=config.delta,
                 w_max=max(w_max, 1),
-                c=config.sampling_constant,
                 seed=config.seed,
                 dup_constant=config.dup_constant,
             )
@@ -182,23 +178,14 @@ class _Driver:
         token = self._next
         self._next += 1
         gh = self.mirror.insert(verts, weight)
-        if self.algo == "udshp":
-            # unit-weight structure: weight w stands for w unit copies
-            inner = [self._struct.insert(verts) for _ in range(weight)]
-            self._handles[token] = (gh, inner)
-        elif self.algo == "wdshp":
-            self._handles[token] = (gh, self._struct.insert(verts, weight))
-        else:
-            self._handles[token] = (gh, None)
+        inner = None if self._struct is None else self._struct.insert(verts, weight)
+        self._handles[token] = (gh, inner)
         return token
 
     def delete(self, token: int) -> None:
         gh, inner = self._handles.pop(token)
         self.mirror.delete(gh)
-        if self.algo == "udshp":
-            for h in inner:
-                self._struct.delete(h)
-        elif self.algo == "wdshp":
+        if self._struct is not None:
             self._struct.delete(inner)
 
     def live_edges(self) -> int:
@@ -281,11 +268,11 @@ def run_stream(
     overall_max_ns = 0
     max_live = 0
 
-    def timed(fn, *args) -> None:
+    def timed(fn, *args):
         nonlocal interval_updates, interval_time_ns, interval_max_ns
         nonlocal total_updates, total_time_ns, overall_max_ns
         t0 = time.perf_counter_ns()
-        fn(*args)
+        out = fn(*args)
         dt = time.perf_counter_ns() - t0
         interval_updates += 1
         interval_time_ns += dt
@@ -293,6 +280,7 @@ def run_stream(
         total_updates += 1
         total_time_ns += dt
         overall_max_ns = max(overall_max_ns, dt)
+        return out
 
     def do_insert(ev: TemporalEvent) -> None:
         if config.dedupe_edges:
@@ -301,14 +289,11 @@ def run_stream(
             if count > 0:
                 window.append((ev.timestamp, -1, ev.vertices))
                 return
-            token_box: List[int] = []
-            timed(lambda: token_box.append(driver.insert(ev.vertices, ev.weight)))
-            token_of_set[ev.vertices] = token_box[0]
+            token_of_set[ev.vertices] = timed(driver.insert, ev.vertices, ev.weight)
             window.append((ev.timestamp, -1, ev.vertices))
             return
-        token_box = []
-        timed(lambda: token_box.append(driver.insert(ev.vertices, ev.weight)))
-        window.append((ev.timestamp, token_box[0], ev.vertices))
+        token = timed(driver.insert, ev.vertices, ev.weight)
+        window.append((ev.timestamp, token, ev.vertices))
 
     def do_expire(token: int, verts: Tuple[int, ...]) -> None:
         if config.dedupe_edges:
@@ -380,23 +365,6 @@ def run_stream(
         num_events=len(events),
     )
     return points, summary
-
-
-def summarize(points: Sequence[ReportPoint]) -> RunSummary:
-    """Recompute the summary metrics from report points alone."""
-    if not points:
-        raise ValueError("summarize needs at least one report point")
-    total_updates = sum(p.updates_in_interval for p in points)
-    total_us = sum(p.avg_update_micros * p.updates_in_interval for p in points)
-    errors = [p.relative_error_pct for p in points if p.relative_error_pct is not None]
-    return RunSummary(
-        total_updates=total_updates,
-        avg_update_micros=total_us / total_updates if total_updates else 0.0,
-        max_update_micros=max((p.max_update_micros for p in points), default=0.0),
-        max_live_edges=0,
-        avg_relative_error_pct=sum(errors) / len(errors) if errors else None,
-        max_relative_error_pct=max(errors) if errors else None,
-    )
 
 
 def _fmt(value: Optional[float]) -> str:

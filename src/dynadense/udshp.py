@@ -24,7 +24,9 @@ class Udshp:
     w_star is a promised lower bound on the max edge multiplicity of the
     inputs; larger promises shrink the duplication factor.  The
     duplication constant is configurable for desk-scale runs (default
-    matches the conservative analysis constant).
+    matches the conservative analysis constant).  ``insert(verts, c)``
+    adds c unit copies of one edge under one handle, which is how an
+    integer weight c enters a unit-weight structure.
     """
 
     def __init__(
@@ -74,7 +76,8 @@ class Udshp:
     # -- bookkeeping ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._public)
+        """Live unit copies (a handle inserted with ``copies=c`` counts c)."""
+        return len(self._internal) // self.dup
 
     def __contains__(self, handle: int) -> bool:
         return handle in self._public
@@ -155,16 +158,20 @@ class Udshp:
 
     # -- public operations ---------------------------------------------
 
-    def insert(self, vertices: Iterable[int]) -> int:
+    def insert(self, vertices: Iterable[int], copies: int = 1) -> int:
+        """Insert ``copies`` unit copies of one edge under one handle."""
         verts = canonical_edge(vertices, self.n, self.r)
-        if self.live_internal_count() + self.dup > self.m_bound * self.dup:
+        if copies < 1:
+            raise ValueError(f"copies must be at least 1, got {copies}")
+        units = copies * self.dup
+        if self.live_internal_count() + units > self.m_bound * self.dup:
             raise ValueError(
                 f"capacity exceeded: m_bound={self.m_bound} logical edges"
             )
         handle = self._next_public
         self._next_public += 1
         internals = []
-        for _ in range(self.dup):
+        for _ in range(units):
             ih = self._next_internal
             self._next_internal += 1
             self._insert_internal(ih, verts)

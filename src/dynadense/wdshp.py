@@ -11,7 +11,6 @@ and rescale its answer back to the weighted instance.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -19,8 +18,6 @@ import numpy as np
 
 from .model import EdgeVerts, canonical_edge, log2c
 from .udshp import DUPLICATION_CONSTANT, Udshp
-
-logger = logging.getLogger(__name__)
 
 
 def epsilon_from_delta(delta: float) -> float:
@@ -69,7 +66,6 @@ class Wdshp:
         c: float = 8.0,
         seed: int = 0,
         dup_constant: float = DUPLICATION_CONSTANT,
-        debug_verify: bool = False,
     ) -> None:
         if w_max < 1:
             raise ValueError("w_max must be at least 1")
@@ -82,7 +78,6 @@ class Wdshp:
         self.epsilon = epsilon_from_delta(delta)
         self.w_max = w_max
         self.c = c
-        self.debug_verify = debug_verify
 
         eps = self.epsilon
         self.num_guesses = math.ceil(math.log(r * m_bound) / math.log1p(eps)) + 1
@@ -128,8 +123,8 @@ class Wdshp:
             self.ensembles.append(ensemble)
             self._distinct.append((i, ensemble))
         # per public handle: weight and, per distinct ensemble, the inner
-        # handles drawn
-        self._registry: Dict[int, Tuple[EdgeVerts, int, List[List[int]]]] = {}
+        # handle of the copies drawn (None when the draw was 0)
+        self._registry: Dict[int, Tuple[EdgeVerts, int, List[Optional[int]]]] = {}
         self._next_handle = 0
 
     # -- sampling ------------------------------------------------------
@@ -172,10 +167,10 @@ class Wdshp:
                 f"weight {weight} outside the promised range [1, {self.w_max}]"
             )
         j = self.weight_class(weight)
-        per_ensemble: List[List[int]] = []
+        per_ensemble: List[Optional[int]] = []
         for i, ensemble in self._distinct:
             s = self.sample_count(i, j)
-            per_ensemble.append([ensemble.insert(verts) for _ in range(s)])
+            per_ensemble.append(ensemble.insert(verts, s) if s else None)
         handle = self._next_handle
         self._next_handle += 1
         self._registry[handle] = (verts, weight, per_ensemble)
@@ -186,8 +181,8 @@ class Wdshp:
             raise ValueError(f"unknown edge handle {handle}")
         _, _, per_ensemble = self._registry.pop(handle)
         for (_, ensemble), inner in zip(self._distinct, per_ensemble):
-            for h in inner:
-                ensemble.delete(h)
+            if inner is not None:
+                ensemble.delete(inner)
 
     def __len__(self) -> int:
         return len(self._registry)
@@ -209,32 +204,18 @@ class Wdshp:
         return self.ensembles[i].max_density() >= threshold
 
     def _select_guess(self) -> Optional[int]:
-        lo, hi = 0, self.num_guesses - 1
+        """Largest qualifying guess index by binary search; the predicate
+        is monotone off a negligible-probability event."""
         if not self._qualifies(0):
-            best = None
-        else:
-            # binary search for the largest qualifying index; the
-            # predicate is monotone off a negligible-probability event
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if self._qualifies(mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            best = lo
-        if self.debug_verify:
-            linear = None
-            for i in range(self.num_guesses):
-                if self._qualifies(i):
-                    linear = i
-            if linear != best:
-                logger.warning(
-                    "guess-selection monotonicity violated: binary=%s linear=%s",
-                    best,
-                    linear,
-                )
-                best = linear
-        return best
+            return None
+        lo, hi = 0, self.num_guesses - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self._qualifies(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     def max_density(self) -> float:
         """(1+delta)-approximate weighted max density, whp.

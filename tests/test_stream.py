@@ -11,7 +11,6 @@ from dynadense.stream import (
     RunConfig,
     assign_weights,
     run_stream,
-    summarize,
     write_csv,
 )
 
@@ -202,30 +201,6 @@ class TestRunStream:
         assert seen[9] == [(2, 3)]
 
 
-class TestSummarize:
-    def test_hand_computed_errors(self):
-        points = [
-            ReportPoint(0, 0.9, set(), 5, 10.0, 20.0, exact_density=1.0),
-            ReportPoint(1, 0.7, set(), 5, 30.0, 40.0, exact_density=1.0),
-        ]
-        assert points[0].relative_error_pct == pytest.approx(10.0)
-        s = summarize(points)
-        assert s.avg_relative_error_pct == pytest.approx(20.0)
-        assert s.max_relative_error_pct == pytest.approx(30.0)
-        assert s.avg_update_micros == pytest.approx(20.0)
-        assert s.max_update_micros == pytest.approx(40.0)
-
-    def test_no_exact_anywhere(self):
-        points = [ReportPoint(0, 0.9, set(), 5, 1.0, 2.0)]
-        s = summarize(points)
-        assert s.avg_relative_error_pct is None
-        assert s.max_relative_error_pct is None
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
 class TestCsv:
     def test_header_and_determinism(self, tmp_path):
         rng = random.Random(3)
@@ -243,3 +218,8 @@ class TestCsv:
             "report_time,density_estimate,exact_density,relative_error_pct,"
             "subset_size,updates,avg_update_us,max_update_us"
         )
+        # the relative_error_pct column: |estimate - exact| / exact, blank
+        # without an exact density
+        with_exact = ReportPoint(0, 0.9, set(), 5, 10.0, 20.0, exact_density=1.0)
+        assert with_exact.relative_error_pct == pytest.approx(10.0)
+        assert ReportPoint(0, 0.9, set(), 5, 1.0, 2.0).relative_error_pct is None

@@ -133,3 +133,56 @@ def test_mixed_run_sandwich_and_invariants():
             sub = u.densest_subset()
             assert float(density(g, sub)) >= rho / (1 + eps) - 1e-9
             u.check_wrapper_invariants(strict_above_active=False)
+
+
+def _udshp_state(u):
+    """Everything an insert or delete can change, per Hop copy."""
+    return u.active, {
+        j: (
+            {h: copy.head_of(h) for h in u._in_copy[j]},
+            [copy.d_in(v) for v in range(u.n)],
+            list(u._pending[j].items()),
+            set(u._in_copy[j]),
+        )
+        for j, copy in u.copies.items()
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_copies_match_repeated_single_inserts(seed):
+    # counted inserts run the same internal operations as c single inserts
+    args = dict(n=6, m_bound=120, r=3, epsilon=0.5, dup_constant=0.1)
+    counted, single = Udshp(**args), Udshp(**args)
+    assert counted.dup > 1
+    rng = random.Random(seed)
+    live = {}  # counted handle -> the single-insert handles of its copies
+    for _ in range(40):
+        if live and rng.random() < 0.4:
+            h = rng.choice(sorted(live))
+            counted.delete(h)
+            for hs in live.pop(h):
+                single.delete(hs)
+        else:
+            verts = tuple(sorted(rng.sample(range(6), rng.randint(2, 3))))
+            c = rng.randint(1, 4)
+            if len(counted) + c > args["m_bound"]:
+                continue
+            live[counted.insert(verts, c)] = [single.insert(verts) for _ in range(c)]
+        assert _udshp_state(counted) == _udshp_state(single)
+        assert len(counted) == len(single) == sum(len(hs) for hs in live.values())
+        assert counted.max_density() == single.max_density()
+    assert counted.active > 1
+
+
+def test_copies_count_toward_length_and_capacity():
+    u = Udshp(4, m_bound=5, r=2, epsilon=0.5, dup_constant=0.0)
+    h = u.insert((0, 1), copies=3)
+    assert len(u) == 3 and h in u
+    with pytest.raises(ValueError):
+        u.insert((1, 2), copies=3)
+    assert len(u) == 3 and u.live_internal_count() == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            u.insert((1, 2), copies=bad)
+    u.delete(h)
+    assert len(u) == 0 and h not in u
