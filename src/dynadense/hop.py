@@ -18,6 +18,10 @@ Supporting structures per vertex:
   All members of an edge are informed together, so one mirror cell per
   (edge, member) serves every observer.
 
+Mirrors, heaps and dirty sets exist only for eta >= 4.  Below that the
+probe budget ceil(4 d / eta) covers all of In(v), so every mirror would
+equal the true load: probes read true loads and nothing is informed.
+
 A global degree->vertices bucket index supplies the max load and the
 level sets used by the subset query.
 """
@@ -169,15 +173,16 @@ class Hop:
         self._head: Dict[int, int] = {}
         self._in: List[_RoundRobin] = [_RoundRobin() for _ in range(n)]
         self._out: List[Set[int]] = [set() for _ in range(n)]
-        self._heap: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        # With eta < 4 the probe budget ceil(4 d / eta) exceeds d, so it
+        # covers all of In(v) (at most d + 1 edges) at every load change and
+        # mirrors would always equal the true loads.  In that regime nothing
+        # is informed and probes read true loads; the lazy machinery below
+        # (mirrors, heaps, dirty sets) exists only for eta >= 4.
+        self._fresh = self.eta < 4.0
+        lazy_n = 0 if self._fresh else n
+        self._heap: List[List[Tuple[int, int]]] = [[] for _ in range(lazy_n)]
         # edges of Out(v) whose key changed since their last heap push
-        self._dirty: List[Set[int]] = [set() for _ in range(n)]
-        # With eta <= 4 the informing budget ceil(4 d / eta) covers all of
-        # In(v) at every load change, so mirrors would always equal the true
-        # loads.  In that regime informing is skipped and out-edge probes
-        # read true loads directly; the lazy machinery below only runs for
-        # larger slack values.
-        self._fresh = self.eta <= 4.0
+        self._dirty: List[Set[int]] = [set() for _ in range(lazy_n)]
         # _mir[h][z] = d_in(z) as last told to the members of edge h
         self._mir: Dict[int, Dict[int, int]] = {}
         self._degs = _DegreeBuckets(n)
@@ -193,9 +198,6 @@ class Hop:
 
     def head_of(self, handle: int) -> int:
         return self._head[handle]
-
-    def verts_of(self, handle: int) -> EdgeVerts:
-        return self._verts[handle]
 
     def d_in(self, v: int) -> int:
         return self._degs.deg[v]
@@ -227,17 +229,17 @@ class Hop:
         return min(len(self._in[v]), math.ceil(4.0 * d / self.eta))
 
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
-        """Register edge under `head`, refreshing mirrors to true loads."""
-        deg = self._degs.deg
+        """Register edge under `head`; lazily, refresh its mirrors to true loads."""
         self._head[handle] = head
         self._in[head].append(handle)
-        self._mir[handle] = {z: deg[z] for z in verts}
         out = self._out
         if self._fresh:
             for u in verts:
                 if u != head:
                     out[u].add(handle)
             return
+        deg = self._degs.deg
+        self._mir[handle] = {z: deg[z] for z in verts}
         dirty = self._dirty
         for u in verts:
             if u != head:
@@ -251,7 +253,8 @@ class Hop:
         for u in verts:
             if u != head:
                 self._out[u].discard(handle)
-        del self._mir[handle]
+        if not self._fresh:
+            del self._mir[handle]
 
     def _rotate(self, handle: int, v: int) -> None:
         verts = self._verts[handle]
@@ -274,22 +277,9 @@ class Hop:
         limit = deg_v - self.eta / 2.0
         rr = self._in[v]
         verts_map = self._verts
-        count = self._probe_count(v)
         if self._fresh:
-            if count == len(rr):
-                # covering probe: any order works, skip the cursor walk
-                for h in rr._next:
-                    vs = verts_map[h]
-                    bd = deg[vs[0]]
-                    for u in vs[1:]:
-                        d = deg[u]
-                        if d < bd:
-                            bd = d
-                    if bd <= limit:
-                        return h
-                return None
-            for _ in range(count):
-                h = rr.advance()
+            # the budget covers In(v): any order works, skip the cursor walk
+            for h in rr._next:
                 vs = verts_map[h]
                 bd = deg[vs[0]]
                 for u in vs[1:]:
@@ -301,7 +291,7 @@ class Hop:
             return None
         mir = self._mir
         dirty = self._dirty
-        for _ in range(count):
+        for _ in range(self._probe_count(v)):
             h = rr.advance()
             mir[h][v] = deg_v
             vs = verts_map[h]
@@ -448,36 +438,20 @@ class Hop:
         """Max load discounted by (1 - eps/2); 0 on the empty structure."""
         return self._degs.max_deg * (1.0 - self.epsilon / 2.0)
 
-    def query_subset(self, mode: str = "theory") -> Set[int]:
+    def query_subset(self) -> Set[int]:
         if not self._verts:
             raise ValueError("subset query on an empty structure")
         d_hat = self._degs.max_deg
         eta = self.eta
-        if mode == "theory":
-            gamma = math.sqrt(2.0 * eta * log2c(self.n) / d_hat)
-            level = float(d_hat)
-            a = self._degs.at_least(level)
+        gamma = math.sqrt(2.0 * eta * log2c(self.n) / d_hat)
+        level = float(d_hat)
+        a = self._degs.at_least(level)
+        b = self._degs.at_least(level - eta)
+        while len(b) >= (1.0 + gamma) * len(a):
+            level -= eta
+            a = b
             b = self._degs.at_least(level - eta)
-            while len(b) >= (1.0 + gamma) * len(a):
-                level -= eta
-                a = b
-                b = self._degs.at_least(level - eta)
-            return b
-        if mode == "best-of-levels":
-            best: Optional[Set[int]] = None
-            best_num, best_den = 0, 1
-            seen_sizes = set()
-            for i in range(int(math.ceil(d_hat / eta)) + 2):
-                s = self._degs.at_least(d_hat - eta * i)
-                if not s or len(s) in seen_sizes:
-                    continue
-                seen_sizes.add(len(s))
-                num = sum(1 for verts in self._verts.values() if s.issuperset(verts))
-                if best is None or num * best_den > best_num * len(s):
-                    best, best_num, best_den = s, num, len(s)
-            assert best is not None
-            return best
-        raise ValueError(f"unknown subset query mode {mode!r}")
+        return b
 
     def subset_density(self, subset: Set[int]) -> Fraction:
         """Exact unweighted density of `subset` in the stored multiset."""

@@ -82,12 +82,6 @@ class WeightedHypergraph:
         for handle, (verts, weight) in self._edges.items():
             yield handle, verts, weight
 
-    def verts_of(self, handle: int) -> EdgeVerts:
-        return self._edges[handle][0]
-
-    def weight_of(self, handle: int) -> int:
-        return self._edges[handle][1]
-
     def support(self) -> Set[int]:
         """Vertices touched by at least one live edge."""
         out: Set[int] = set()

@@ -5,12 +5,18 @@ active index bracketing the true maximum, and per-copy pending lists
 for edges withheld from overloaded low-guess copies.  Each logical edge
 is duplicated a configured number of times so the active copy operates
 in the regime where its slack is at least 1.
+
+Each fact lives in one place: a copy's Hop records which internal
+handles the copy holds, its pending list which ones it withholds, and
+the public table maps a handle to its vertex set and the contiguous
+range of internal handles behind it.  Only copies below the active index
+withhold edges, so the top copy holds every live internal handle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from .hop import Hop
 from .model import EdgeVerts, canonical_edge, log2c
@@ -64,12 +70,10 @@ class Udshp:
             # meaningful at the analysis scale)
             self.copies[i] = Hop(n, epsilon, d_tilde, eta_override=max(eta, 1.0))
         self.active = 0
-        # per copy: handles actually inserted, and FIFO pending handles
-        self._in_copy: Dict[int, Set[int]] = {i: set() for i in self.copies}
+        # per copy: FIFO pending handles withheld from that copy
         self._pending: Dict[int, Dict[int, EdgeVerts]] = {i: {} for i in self.copies}
-        self._internal: Dict[int, EdgeVerts] = {}
-        self._ledger: Dict[int, List[int]] = {}  # public handle -> internal handles
-        self._public: Dict[int, EdgeVerts] = {}
+        # public handle -> (vertex set, its internal handles)
+        self._public: Dict[int, Tuple[EdgeVerts, range]] = {}
         self._next_public = 0
         self._next_internal = 0
 
@@ -77,13 +81,14 @@ class Udshp:
 
     def __len__(self) -> int:
         """Live unit copies (a handle inserted with ``copies=c`` counts c)."""
-        return len(self._internal) // self.dup
+        return self.live_internal_count() // self.dup
 
     def __contains__(self, handle: int) -> bool:
         return handle in self._public
 
     def live_internal_count(self) -> int:
-        return len(self._internal)
+        # the top copy is never below the active index, so it withholds nothing
+        return len(self.copies[self.num_copies])
 
     def d_tilde(self, i: int) -> int:
         return 2 ** (i - 1)
@@ -111,50 +116,30 @@ class Udshp:
     # -- internal fan-out ----------------------------------------------
 
     def _insert_internal(self, handle: int, verts: EdgeVerts) -> None:
-        self._internal[handle] = verts
         self._advance_active()
         active = self.active
-        for j in range(active + 1, self.num_copies + 1):
-            self.copies[j].insert(handle, verts)
-            self._in_copy[j].add(handle)
-        if active >= 1:
-            self.copies[active].insert(handle, verts)
-            self._in_copy[active].add(handle)
-        for j in range(1, active):
-            copy = self.copies[j]
-            if min(copy.d_in(u) for u in verts) < 2 * self.d_tilde(j):
-                copy.insert(handle, verts)
-                self._in_copy[j].add(handle)
-            else:
+        for j, copy in self.copies.items():
+            if j < active and min(copy.d_in(u) for u in verts) >= 2 * self.d_tilde(j):
                 self._pending[j][handle] = verts
+            else:
+                copy.insert(handle, verts)
 
     def _delete_internal(self, handle: int) -> None:
-        del self._internal[handle]
         self._retreat_active()
         active = self.active
-        for j in range(active + 1, self.num_copies + 1):
-            self._remove_from_copy(j, handle, swap_pending=False)
-        for j in range(1, active + 1):
-            self._remove_from_copy(j, handle, swap_pending=True)
-
-    def _remove_from_copy(self, j: int, handle: int, swap_pending: bool) -> None:
-        pending = self._pending[j]
-        if handle in pending:
-            del pending[handle]
-            return
-        copy = self.copies[j]
-        head = copy.head_of(handle)
-        copy.delete(handle)
-        self._in_copy[j].discard(handle)
-        if not swap_pending or not pending:
-            return
-        # deleting freed capacity at this copy's head vertex: pull in the
-        # first pending edge containing that head, if any
-        swap = next((h2 for h2, v2 in pending.items() if head in v2), None)
-        if swap is not None:
-            verts2 = pending.pop(swap)
-            copy.insert(swap, verts2)
-            self._in_copy[j].add(swap)
+        for j, copy in self.copies.items():
+            pending = self._pending[j]
+            if pending.pop(handle, None) is not None:
+                continue
+            head = copy.head_of(handle)
+            copy.delete(handle)
+            if j > active or not pending:
+                continue
+            # deleting freed capacity at this copy's head vertex: pull in the
+            # first pending edge containing that head, if any
+            swap = next((h2 for h2, v2 in pending.items() if head in v2), None)
+            if swap is not None:
+                copy.insert(swap, pending.pop(swap))
 
     # -- public operations ---------------------------------------------
 
@@ -170,22 +155,20 @@ class Udshp:
             )
         handle = self._next_public
         self._next_public += 1
-        internals = []
-        for _ in range(units):
-            ih = self._next_internal
-            self._next_internal += 1
+        first = self._next_internal
+        self._next_internal += units
+        internals = range(first, first + units)
+        for ih in internals:
             self._insert_internal(ih, verts)
-            internals.append(ih)
-        self._ledger[handle] = internals
-        self._public[handle] = verts
+        self._public[handle] = (verts, internals)
         return handle
 
     def delete(self, handle: int) -> None:
         if handle not in self._public:
             raise ValueError(f"unknown edge handle {handle}")
-        for ih in self._ledger.pop(handle):
+        _, internals = self._public.pop(handle)
+        for ih in internals:
             self._delete_internal(ih)
-        del self._public[handle]
 
     def max_density(self) -> float:
         """Current (1+eps)-approximate max density of the logical multiset."""
@@ -193,10 +176,10 @@ class Udshp:
             return 0.0
         return self.copies[self._query_copy_index()].query_density() / self.dup
 
-    def densest_subset(self, mode: str = "theory") -> Set[int]:
+    def densest_subset(self) -> Set[int]:
         if not self._public:
             raise ValueError("densest-subset query on an empty structure")
-        return self.copies[self._query_copy_index()].query_subset(mode)
+        return self.copies[self._query_copy_index()].query_subset()
 
     # -- invariant checks (test support) -------------------------------
 
@@ -208,9 +191,9 @@ class Udshp:
         active index has never retreated past a copy with pending edges
         (e.g. insertion-only runs).
         """
-        live = set(self._internal)
-        for j in self.copies:
-            inserted = self._in_copy[j]
+        live = {ih for _, internals in self._public.values() for ih in internals}
+        for j, copy in self.copies.items():
+            inserted = {h for h, _ in copy.edges()}
             pending = set(self._pending[j])
             assert not (inserted & pending), f"copy {j}: handle both live and pending"
             assert inserted | pending == live, (
@@ -220,4 +203,3 @@ class Udshp:
                 assert not pending, (
                     f"copy {j} above active={self.active} must hold all live edges"
                 )
-            assert len(self.copies[j]) == len(inserted)

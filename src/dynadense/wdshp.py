@@ -192,26 +192,32 @@ class Wdshp:
 
     # -- queries -------------------------------------------------------
 
-    def _qualifies(self, i: int) -> bool:
-        """Sampled density still at the level a correct guess induces.
-
-        The threshold is (1-eps) * q_i * rho_i: for sub-unit sampling
-        rates this is the usual (1-eps) * c * eps^-2 * log n level; for
-        rate-1 guesses (no sparsification) it degenerates to the direct
-        comparison against the guess itself.
-        """
-        threshold = (1.0 - self.epsilon) * self.q[i] * self.rho_guesses[i]
-        return self.ensembles[i].max_density() >= threshold
-
     def _select_guess(self) -> Optional[int]:
         """Largest qualifying guess index by binary search; the predicate
-        is monotone off a negligible-probability event."""
-        if not self._qualifies(0):
+        is monotone off a negligible-probability event.
+
+        Guess i qualifies when its sampled density is still at the level a
+        correct guess induces, (1-eps) * q_i * rho_i: for sub-unit sampling
+        rates this is the usual (1-eps) * c * eps^-2 * log n level; for
+        rate-1 guesses (no sparsification) it degenerates to the direct
+        comparison against the guess itself.  Each distinct ensemble's
+        density is read once per call, so aliased rate-1 guesses share it.
+        """
+        densities: Dict[Udshp, float] = {}
+
+        def qualifies(i: int) -> bool:
+            ensemble = self.ensembles[i]
+            density = densities.get(ensemble)
+            if density is None:
+                density = densities[ensemble] = ensemble.max_density()
+            return density >= (1.0 - self.epsilon) * self.q[i] * self.rho_guesses[i]
+
+        if not qualifies(0):
             return None
         lo, hi = 0, self.num_guesses - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self._qualifies(mid):
+            if qualifies(mid):
                 lo = mid
             else:
                 hi = mid - 1
@@ -235,12 +241,12 @@ class Wdshp:
             return 0.0
         return (1.0 - 2.0 * eps) / (1.0 + eps) * self.rho_guesses[i_star]
 
-    def densest_subset(self, mode: str = "theory") -> Set[int]:
+    def densest_subset(self) -> Set[int]:
         if not self._registry:
             raise ValueError("densest-subset query on an empty structure")
         i_star = self._select_guess()
         if i_star is None:
             if self.q[0] >= 1.0:
-                return self.ensembles[0].densest_subset(mode)
+                return self.ensembles[0].densest_subset()
             raise ValueError("no density guess qualifies; structure too sparse")
-        return self.ensembles[i_star].densest_subset(mode)
+        return self.ensembles[i_star].densest_subset()

@@ -276,10 +276,10 @@ def _assert_hop_empty(hop: Hop) -> None:
 
 def _assert_udshp_empty(u: Udshp) -> None:
     assert len(u) == 0 and u.live_internal_count() == 0 and u.active == 0
-    assert not u._ledger and not u._public
+    assert not u._public
     for j, copy in u.copies.items():
         assert len(copy) == 0, f"copy {j} not empty"
-        assert not u._pending[j] and not u._in_copy[j]
+        assert not u._pending[j]
         _assert_hop_empty(copy)
     u.check_wrapper_invariants()
 

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import dynadense.cli as cli
 import dynadense.stream as stream
 from dynadense.io import TemporalEvent
 from dynadense.stream import (
@@ -13,6 +15,9 @@ from dynadense.stream import (
     run_stream,
     write_csv,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ev(t, verts, w=1):
@@ -223,3 +228,38 @@ class TestCsv:
         with_exact = ReportPoint(0, 0.9, set(), 5, 10.0, 20.0, exact_density=1.0)
         assert with_exact.relative_error_pct == pytest.approx(10.0)
         assert ReportPoint(0, 0.9, set(), 5, 1.0, 2.0).relative_error_pct is None
+
+
+_CSV_HEADER = (
+    b"report_time,density_estimate,exact_density,relative_error_pct,"
+    b"subset_size,updates,avg_update_us,max_update_us\r\n"
+)
+
+# report.csv bytes of the bundled mini fixture, pinned so that internal
+# restructuring of Hop, Udshp and Wdshp cannot change an answer unnoticed
+MINI_GOLDEN = {
+    "udshp": (
+        ["--algo", "udshp", "--dup-constant", "0.2"],
+        _CSV_HEADER
+        + b"2001,0.665217,0.750000,11.304348,4,3,0.000000,0.000000\r\n"
+        b"2002,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n"
+        b"2003,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n",
+    ),
+    "wdshp": (
+        ["--algo", "wdshp", "--mode", "window", "--window", "2",
+         "--weights", "uniform:1:4:3", "--dup-constant", "0.2"],
+        _CSV_HEADER
+        + b"2001,1.333162,1.750000,23.819317,4,3,0.000000,0.000000\r\n"
+        b"2002,3.109856,4.000000,22.253610,1,3,0.000000,0.000000\r\n"
+        b"2003,3.109856,4.000000,22.253610,1,2,0.000000,0.000000\r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(MINI_GOLDEN))
+def test_cli_mini_fixture_report_is_pinned(algo, tmp_path):
+    flags, want = MINI_GOLDEN[algo]
+    argv = ["--input", str(FIXTURES / "mini"), "--format", "benson",
+            "--no-timing", "--out", str(tmp_path), *flags]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "report.csv").read_bytes() == want

@@ -56,7 +56,7 @@ def test_delete_of_pending_twin_leaves_copy_untouched():
     handles = [u.insert((0, 1)) for _ in range(40)]
     j = next(j for j in u.copies if u._pending[j])
     pending_handle = next(iter(u._pending[j]))
-    public = next(h for h, inns in u._ledger.items() if pending_handle in inns)
+    public = next(h for h, (_, inns) in u._public.items() if pending_handle in inns)
     before = len(u.copies[j])
     u.delete(public)
     assert pending_handle not in u._pending[j]
@@ -79,7 +79,7 @@ def test_insert_delete_round_trip_resets_everything():
     assert u.live_internal_count() == 0
     for j, copy in u.copies.items():
         assert len(copy) == 0 and copy.max_in_degree() == 0
-        assert not u._pending[j] and not u._in_copy[j]
+        assert not u._pending[j]
 
 
 def test_capacity_enforced():
@@ -139,10 +139,9 @@ def _udshp_state(u):
     """Everything an insert or delete can change, per Hop copy."""
     return u.active, {
         j: (
-            {h: copy.head_of(h) for h in u._in_copy[j]},
+            {h: copy.head_of(h) for h, _ in copy.edges()},
             [copy.d_in(v) for v in range(u.n)],
             list(u._pending[j].items()),
-            set(u._in_copy[j]),
         )
         for j, copy in u.copies.items()
     }

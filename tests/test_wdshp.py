@@ -199,8 +199,7 @@ class TestSharedEnsemble:
             assert len(shared) == len(ref)
             assert shared.max_density() == ref.max_density()
             if len(ref):
-                for mode in ("theory", "best-of-levels"):
-                    assert shared.densest_subset(mode) == ref.densest_subset(mode)
+                assert shared.densest_subset() == ref.densest_subset()
 
     def test_sampler_streams_pinned_to_spawn_children(self):
         seed = 11
