@@ -8,8 +8,10 @@ refreshed lazily, a few edges per update, round-robin.
 
 Supporting structures per vertex:
 
-* a circular list of edges headed here, with a persistent cursor
-  (drives both violation probing and lazy informing);
+* the edges headed here (In(v)).  For eta >= 4 they form a circular
+  list with a persistent cursor that drives both violation probing and
+  lazy informing; below that they are grouped by vertex set, since a
+  probe covers all of In(v) and tightness depends only on the vertex set;
 * a set of edges containing the vertex but headed elsewhere, paired
   with a lazy max-heap keyed by the locally-known head load (heap
   entries are created on demand from a dirty set and stale ones are
@@ -29,9 +31,9 @@ level sets used by the subset query.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .model import EdgeVerts, log2c
 
@@ -93,6 +95,25 @@ class _RoundRobin:
             out.append(h)
             h = self._next[h]
         return out
+
+
+class _VertexSetGroups:
+    """In(v) of a fresh Hop: handles grouped by their vertex set.
+
+    ``groups[verts]`` maps each handle with that vertex set to its attach
+    sequence number, oldest first; no group is empty.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self) -> None:
+        self.groups: Dict[EdgeVerts, Dict[int, int]] = {}
+
+    def __len__(self) -> int:
+        return sum(map(len, self.groups.values()))
+
+    def __contains__(self, h: int) -> bool:
+        return any(h in group for group in self.groups.values())
 
 
 class _DegreeBuckets:
@@ -171,14 +192,20 @@ class Hop:
 
         self._verts: Dict[int, EdgeVerts] = {}
         self._head: Dict[int, int] = {}
-        self._in: List[_RoundRobin] = [_RoundRobin() for _ in range(n)]
         self._out: List[Set[int]] = [set() for _ in range(n)]
         # With eta < 4 the probe budget ceil(4 d / eta) exceeds d, so it
         # covers all of In(v) (at most d + 1 edges) at every load change and
         # mirrors would always equal the true loads.  In that regime nothing
-        # is informed and probes read true loads; the lazy machinery below
-        # (mirrors, heaps, dirty sets) exists only for eta >= 4.
+        # is informed and probes read true loads; the lazy machinery (the
+        # cursor lists of In(v), mirrors, heaps, dirty sets) exists only for
+        # eta >= 4.  A fresh In(v) groups its edges by vertex set, so a probe
+        # tests each distinct set once; attach sequence numbers keep the
+        # answer that of a scan in attach order.
         self._fresh = self.eta < 4.0
+        self._in: List[Union[_VertexSetGroups, _RoundRobin]] = [
+            _VertexSetGroups() if self._fresh else _RoundRobin() for _ in range(n)
+        ]
+        self._attach_seq = itertools.count()
         lazy_n = 0 if self._fresh else n
         self._heap: List[List[Tuple[int, int]]] = [[] for _ in range(lazy_n)]
         # edges of Out(v) whose key changed since their last heap push
@@ -231,13 +258,19 @@ class Hop:
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
         """Register edge under `head`; lazily, refresh its mirrors to true loads."""
         self._head[handle] = head
-        self._in[head].append(handle)
         out = self._out
         if self._fresh:
+            groups = self._in[head].groups
+            group = groups.get(verts)
+            if group is None:
+                groups[verts] = {handle: next(self._attach_seq)}
+            else:
+                group[handle] = next(self._attach_seq)
             for u in verts:
                 if u != head:
                     out[u].add(handle)
             return
+        self._in[head].append(handle)
         deg = self._degs.deg
         self._mir[handle] = {z: deg[z] for z in verts}
         dirty = self._dirty
@@ -249,12 +282,18 @@ class Hop:
     def _detach(self, handle: int) -> None:
         head = self._head.pop(handle)
         verts = self._verts[handle]
-        self._in[head].remove(handle)
+        if self._fresh:
+            groups = self._in[head].groups
+            group = groups[verts]
+            del group[handle]
+            if not group:
+                del groups[verts]
+        else:
+            self._in[head].remove(handle)
+            del self._mir[handle]
         for u in verts:
             if u != head:
                 self._out[u].discard(handle)
-        if not self._fresh:
-            del self._mir[handle]
 
     def _rotate(self, handle: int, v: int) -> None:
         verts = self._verts[handle]
@@ -264,31 +303,40 @@ class Hop:
         self.last_rotations += 1
 
     def _tight_in_edge(self, v: int) -> Optional[int]:
-        """Probe the next few edges headed at v for a slack violation risk.
+        """Probe edges headed at v for a slack violation risk.
 
         Returns the first probed edge whose min-load member sits at
-        least eta/2 below d_in(v); the cursor moves past everything
-        probed.  The violation test uses true loads; in lazy mode every
-        probed edge is also informed of v's current load, so probe
-        passes never starve the round-robin inform schedule.
+        least eta/2 below d_in(v).  A fresh Hop probes all of In(v) in
+        attach order; a lazy one probes the next few edges and moves the
+        cursor past everything probed.  The violation test uses true
+        loads; in lazy mode every probed edge is also informed of v's
+        current load, so probe passes never starve the round-robin
+        inform schedule.
         """
         deg = self._degs.deg
         deg_v = deg[v]
         limit = deg_v - self.eta / 2.0
-        rr = self._in[v]
-        verts_map = self._verts
         if self._fresh:
-            # the budget covers In(v): any order works, skip the cursor walk
-            for h in rr._next:
-                vs = verts_map[h]
+            # the budget covers In(v) and tightness depends only on the
+            # vertex set: test each group once and return the oldest
+            # attached edge of the tight groups, the one a scan of In(v)
+            # in attach order would meet first
+            best_h = None
+            best_seq = math.inf
+            for vs, group in self._in[v].groups.items():
                 bd = deg[vs[0]]
                 for u in vs[1:]:
                     d = deg[u]
                     if d < bd:
                         bd = d
                 if bd <= limit:
-                    return h
-            return None
+                    for h, seq in group.items():  # the group's oldest edge
+                        break
+                    if seq < best_seq:
+                        best_h, best_seq = h, seq
+            return best_h
+        rr = self._in[v]
+        verts_map = self._verts
         mir = self._mir
         dirty = self._dirty
         for _ in range(self._probe_count(v)):
@@ -453,13 +501,6 @@ class Hop:
             b = self._degs.at_least(level - eta)
         return b
 
-    def subset_density(self, subset: Set[int]) -> Fraction:
-        """Exact unweighted density of `subset` in the stored multiset."""
-        if not subset:
-            raise ValueError("empty subset")
-        num = sum(1 for verts in self._verts.values() if subset.issuperset(verts))
-        return Fraction(num, len(subset))
-
     # -- invariant checks (test support) -------------------------------
 
     def check_slack(self) -> None:
@@ -492,7 +533,12 @@ class Hop:
                 )
 
     def check_consistency(self) -> None:
-        """Membership and degree bookkeeping agree with a fresh rebuild."""
+        """Membership and degree bookkeeping agree with a fresh rebuild.
+
+        A fresh In(v) must hold no empty group, file each edge headed at v
+        under its own vertex set, and number each group's edges in
+        increasing attach order.
+        """
         counts = [0] * self.n
         for h, verts in self._verts.items():
             v = self._head[h]
@@ -506,5 +552,16 @@ class Hop:
         assert sum(counts) == len(self._verts)
         for v in range(self.n):
             assert len(self._in[v]) == counts[v]
+            if self._fresh:
+                for key, group in self._in[v].groups.items():
+                    assert group, f"empty group {key} in In({v})"
+                    for h in group:
+                        assert self._verts[h] == key and self._head[h] == v, (
+                            f"edge {h} filed under {key} in In({v})"
+                        )
+                    seqs = list(group.values())
+                    assert all(a < b for a, b in zip(seqs, seqs[1:])), (
+                        f"group {key} in In({v}) out of attach order"
+                    )
             for h in self._out[v]:
                 assert h in self._verts and self._head[h] != v

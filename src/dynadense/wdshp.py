@@ -126,6 +126,9 @@ class Wdshp:
         # handle of the copies drawn (None when the draw was 0)
         self._registry: Dict[int, Tuple[EdgeVerts, int, List[Optional[int]]]] = {}
         self._next_handle = 0
+        # (selected guess, ensembles[0]'s density) for the current input;
+        # every update clears it
+        self._selection: Optional[Tuple[Optional[int], float]] = None
 
     # -- sampling ------------------------------------------------------
 
@@ -167,6 +170,7 @@ class Wdshp:
                 f"weight {weight} outside the promised range [1, {self.w_max}]"
             )
         j = self.weight_class(weight)
+        self._selection = None
         per_ensemble: List[Optional[int]] = []
         for i, ensemble in self._distinct:
             s = self.sample_count(i, j)
@@ -180,6 +184,7 @@ class Wdshp:
         if handle not in self._registry:
             raise ValueError(f"unknown edge handle {handle}")
         _, _, per_ensemble = self._registry.pop(handle)
+        self._selection = None
         for (_, ensemble), inner in zip(self._distinct, per_ensemble):
             if inner is not None:
                 ensemble.delete(inner)
@@ -201,8 +206,12 @@ class Wdshp:
         rates this is the usual (1-eps) * c * eps^-2 * log n level; for
         rate-1 guesses (no sparsification) it degenerates to the direct
         comparison against the guess itself.  Each distinct ensemble's
-        density is read once per call, so aliased rate-1 guesses share it.
+        density is read once per call, so aliased rate-1 guesses share it,
+        and the selection is kept, with the density of ensembles[0], until
+        the next update.
         """
+        if self._selection is not None:
+            return self._selection[0]
         densities: Dict[Udshp, float] = {}
 
         def qualifies(i: int) -> bool:
@@ -212,16 +221,18 @@ class Wdshp:
                 density = densities[ensemble] = ensemble.max_density()
             return density >= (1.0 - self.epsilon) * self.q[i] * self.rho_guesses[i]
 
-        if not qualifies(0):
-            return None
-        lo, hi = 0, self.num_guesses - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if qualifies(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        selected: Optional[int] = None
+        if qualifies(0):
+            lo, hi = 0, self.num_guesses - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if qualifies(mid):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            selected = lo
+        self._selection = (selected, densities[self.ensembles[0]])
+        return selected
 
     def max_density(self) -> float:
         """(1+delta)-approximate weighted max density, whp.
@@ -237,7 +248,7 @@ class Wdshp:
         eps = self.epsilon
         if i_star is None:
             if self.q[0] >= 1.0:
-                return self.ensembles[0].max_density() / (1.0 + eps)
+                return self._selection[1] / (1.0 + eps)
             return 0.0
         return (1.0 - 2.0 * eps) / (1.0 + eps) * self.rho_guesses[i_star]
 

@@ -1,6 +1,6 @@
+import hashlib
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -232,6 +232,53 @@ def test_mirrors_exist_only_in_lazy_regime(eta_override):
     assert rotations > 0 and deletes > 0
 
 
+# sha256 over every step's (head of each live edge, last_rotations), captured
+# before In(v) was grouped by vertex set in the fresh regime
+BURST_DIGESTS = {
+    1.0: "b0738583a95d7c22b3d88457047b438c3d77d9876dd6c278f28d0291b658e89e",
+    2.3: "0ba03f289d26c575109eb84d750d47b58a16e75bd4b3829e2dcbc94bd34eab64",
+}
+
+
+@pytest.mark.parametrize("eta_override", sorted(BURST_DIGESTS))
+def test_repeated_vertex_set_bursts_are_pinned(eta_override):
+    # bursts of 5-20 copies of a few vertex sets, as Udshp's duplication
+    # makes them, with bursts of deletes; heads and chain lengths must not
+    # depend on how In(v) is stored
+    rng = random.Random(int(eta_override * 100))
+    n = 8
+    h = Hop(n, 0.4, 64.0, eta_override=eta_override)
+    assert h._fresh
+    pool = [tuple(sorted(rng.sample(range(n), rng.randint(2, 3)))) for _ in range(16)]
+    live = []
+    next_handle = rotations = deletes = 0
+    digest = hashlib.sha256()
+
+    def step():
+        nonlocal rotations
+        rotations += h.last_rotations
+        digest.update(repr(([h.head_of(k) for k in live], h.last_rotations)).encode())
+
+    for _ in range(120):
+        if len(live) > 40 and rng.random() < 0.45:
+            for _ in range(rng.randint(1, 15)):
+                if not live:
+                    break
+                h.delete(live.pop(rng.randrange(len(live))))
+                deletes += 1
+                step()
+        else:
+            verts = rng.choice(pool)
+            for _ in range(rng.randint(5, 20)):
+                h.insert(next_handle, verts)
+                live.append(next_handle)
+                next_handle += 1
+                step()
+    check_all(h)
+    assert rotations > 300 and deletes > 300
+    assert digest.hexdigest() == BURST_DIGESTS[eta_override]
+
+
 class TestQueries:
     def test_density_empty(self):
         h = Hop(4, 0.5, 4.0, eta_override=2.0)
@@ -253,10 +300,3 @@ class TestQueries:
         h.insert(0, (0, 1))
         s = h.query_subset()
         assert s and s <= {0, 1, 2, 3}
-
-    def test_subset_density_exact(self):
-        h = Hop(4, 0.5, 4.0, eta_override=2.0)
-        h.insert(0, (0, 1))
-        h.insert(1, (0, 1, 2))
-        assert h.subset_density({0, 1}) == Fraction(1, 2)
-        assert h.subset_density({0, 1, 2}) == Fraction(2, 3)

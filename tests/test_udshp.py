@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -185,3 +186,25 @@ def test_copies_count_toward_length_and_capacity():
             u.insert((1, 2), copies=bad)
     u.delete(h)
     assert len(u) == 0 and h not in u
+
+
+def test_core_heavy_insert_stream_is_pinned():
+    # half the edges inside a 12-vertex core at dup 10: long runs of
+    # identical vertex sets in every copy; the per-step answers were
+    # captured before Hop grouped In(v) by vertex set
+    rng = random.Random(7)
+    n = 60
+    u = Udshp(n, m_bound=400, r=3, epsilon=0.3, dup_constant=0.05)
+    assert u.dup == 10
+    digest = hashlib.sha256()
+    for _ in range(300):
+        if rng.random() < 0.5:
+            verts = rng.sample(range(12), rng.randint(2, 3))
+        else:
+            verts = rng.sample(range(n), rng.randint(2, 3))
+        u.insert(verts)
+        digest.update(repr((u.max_density(), sorted(u.densest_subset()))).encode())
+    assert u.active == 8
+    assert digest.hexdigest() == (
+        "17c9bef7c0d283b01c291107e1b39bc21469d25e1d5c4ec5378324b65460b097"
+    )
