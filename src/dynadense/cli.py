@@ -12,6 +12,7 @@ from typing import List, Optional, Tuple
 
 from .io import FormatError, load_benson, load_events
 from .stream import (
+    ALGOS,
     DEFAULT_ORACLE_SUPPORT_LIMIT,
     ConfigError,
     RunConfig,
@@ -61,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sliding-window length in timestamp units")
     p.add_argument("--report", type=int, default=1, metavar="N",
                    help="reporting interval in timestamp units")
-    p.add_argument("--algo", choices=("udshp", "wdshp", "exact", "greedy"),
-                   default="udshp")
+    p.add_argument("--algo", choices=ALGOS, default="udshp")
     p.add_argument("--epsilon", type=float, default=0.3, metavar="F")
     p.add_argument("--delta", type=float, default=0.5, metavar="F")
     p.add_argument("--weights", default="unit", metavar="MODE",

@@ -8,17 +8,19 @@ refreshed lazily, a few edges per update, round-robin.
 
 Supporting structures per vertex:
 
-* the edges headed here (In(v)).  For eta >= 4 they form a circular
-  list with a persistent cursor that drives both violation probing and
-  lazy informing; below that they are grouped by vertex set, since a
-  probe covers all of In(v) and tightness depends only on the vertex set;
+* the edges headed here (In(v)).  For eta >= 4 they form an ordered
+  dict whose order is the round-robin cursor: the first key is the next
+  edge to probe or inform, a probed or informed edge moves to the end,
+  and a new edge enters last.  Below that they are grouped by vertex
+  set, since a probe covers all of In(v) and tightness depends only on
+  the vertex set;
 * a set of edges containing the vertex but headed elsewhere, paired
   with a lazy max-heap keyed by the locally-known head load (heap
   entries are created on demand from a dirty set and stale ones are
   discarded when popped);
-* locally-known ("mirror") load values for the members of those edges.
-  All members of an edge are informed together, so one mirror cell per
-  (edge, member) serves every observer.
+* one locally-known ("mirror") load per edge: the load of its head as
+  last told to its members.  All members of an edge are informed
+  together, so one cell serves every observer.
 
 Mirrors, heaps and dirty sets exist only for eta >= 4.  Below that the
 probe budget ceil(4 d / eta) covers all of In(v), so every mirror would
@@ -33,87 +35,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .model import EdgeVerts, log2c
-
-
-class _RoundRobin:
-    """Circular sequence of edge handles with a persistent cursor.
-
-    O(1) append/remove/advance via doubly linked structure in dicts.
-    New handles enter just behind the cursor, i.e. last in scan order.
-    """
-
-    __slots__ = ("_next", "_prev", "cursor")
-
-    def __init__(self) -> None:
-        self._next: Dict[int, int] = {}
-        self._prev: Dict[int, int] = {}
-        self.cursor: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self._next)
-
-    def __contains__(self, h: int) -> bool:
-        return h in self._next
-
-    def append(self, h: int) -> None:
-        if self.cursor is None:
-            self._next[h] = self._prev[h] = h
-            self.cursor = h
-        else:
-            tail = self._prev[self.cursor]
-            self._next[tail] = h
-            self._prev[h] = tail
-            self._next[h] = self.cursor
-            self._prev[self.cursor] = h
-
-    def remove(self, h: int) -> None:
-        nxt = self._next.pop(h)
-        prv = self._prev.pop(h)
-        if nxt == h:
-            self.cursor = None
-            return
-        self._next[prv] = nxt
-        self._prev[nxt] = prv
-        if self.cursor == h:
-            self.cursor = nxt
-
-    def advance(self) -> int:
-        """Return the handle at the cursor and step the cursor forward."""
-        h = self.cursor
-        assert h is not None
-        self.cursor = self._next[h]
-        return h
-
-    def items(self) -> List[int]:
-        out = []
-        h = self.cursor
-        for _ in range(len(self._next)):
-            assert h is not None
-            out.append(h)
-            h = self._next[h]
-        return out
-
-
-class _VertexSetGroups:
-    """In(v) of a fresh Hop: handles grouped by their vertex set.
-
-    ``groups[verts]`` maps each handle with that vertex set to its attach
-    sequence number, oldest first; no group is empty.
-    """
-
-    __slots__ = ("groups",)
-
-    def __init__(self) -> None:
-        self.groups: Dict[EdgeVerts, Dict[int, int]] = {}
-
-    def __len__(self) -> int:
-        return sum(map(len, self.groups.values()))
-
-    def __contains__(self, h: int) -> bool:
-        return any(h in group for group in self.groups.values())
 
 
 class _DegreeBuckets:
@@ -149,14 +74,6 @@ class _DegreeBuckets:
             out |= self.buckets.get(d, set())
             d -= 1
         return out
-
-    def count_at_least(self, threshold: float) -> int:
-        total = 0
-        d = self.max_deg
-        while d >= threshold and d >= 0:
-            total += len(self.buckets.get(d, ()))
-            d -= 1
-        return total
 
 
 class Hop:
@@ -197,21 +114,20 @@ class Hop:
         # covers all of In(v) (at most d + 1 edges) at every load change and
         # mirrors would always equal the true loads.  In that regime nothing
         # is informed and probes read true loads; the lazy machinery (the
-        # cursor lists of In(v), mirrors, heaps, dirty sets) exists only for
-        # eta >= 4.  A fresh In(v) groups its edges by vertex set, so a probe
-        # tests each distinct set once; attach sequence numbers keep the
-        # answer that of a scan in attach order.
+        # cursor-ordered In(v), mirrors, heaps, dirty sets) exists only for
+        # eta >= 4.  A fresh In(v) is {vertex set: {handle: attach seq}}, no
+        # group empty, so a probe tests each distinct set once; attach
+        # sequence numbers keep the answer that of a scan in attach order.
         self._fresh = self.eta < 4.0
-        self._in: List[Union[_VertexSetGroups, _RoundRobin]] = [
-            _VertexSetGroups() if self._fresh else _RoundRobin() for _ in range(n)
-        ]
+        self._in: List[Union[Dict[EdgeVerts, Dict[int, int]], OrderedDict[int, None]]]
+        self._in = [{} if self._fresh else OrderedDict() for _ in range(n)]
         self._attach_seq = itertools.count()
         lazy_n = 0 if self._fresh else n
         self._heap: List[List[Tuple[int, int]]] = [[] for _ in range(lazy_n)]
         # edges of Out(v) whose key changed since their last heap push
         self._dirty: List[Set[int]] = [set() for _ in range(lazy_n)]
-        # _mir[h][z] = d_in(z) as last told to the members of edge h
-        self._mir: Dict[int, Dict[int, int]] = {}
+        # _mir[h] = d_in(head of h) as last told to the members of edge h
+        self._mir: Dict[int, int] = {}
         self._degs = _DegreeBuckets(n)
         self.last_rotations = 0
 
@@ -256,11 +172,11 @@ class Hop:
         return min(len(self._in[v]), math.ceil(4.0 * d / self.eta))
 
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
-        """Register edge under `head`; lazily, refresh its mirrors to true loads."""
+        """Register edge under `head`; lazily, set its mirror to the true load."""
         self._head[handle] = head
         out = self._out
         if self._fresh:
-            groups = self._in[head].groups
+            groups = self._in[head]
             group = groups.get(verts)
             if group is None:
                 groups[verts] = {handle: next(self._attach_seq)}
@@ -270,9 +186,8 @@ class Hop:
                 if u != head:
                     out[u].add(handle)
             return
-        self._in[head].append(handle)
-        deg = self._degs.deg
-        self._mir[handle] = {z: deg[z] for z in verts}
+        self._in[head][handle] = None
+        self._mir[handle] = self._degs.deg[head]
         dirty = self._dirty
         for u in verts:
             if u != head:
@@ -283,13 +198,13 @@ class Hop:
         head = self._head.pop(handle)
         verts = self._verts[handle]
         if self._fresh:
-            groups = self._in[head].groups
+            groups = self._in[head]
             group = groups[verts]
             del group[handle]
             if not group:
                 del groups[verts]
         else:
-            self._in[head].remove(handle)
+            del self._in[head][handle]
             del self._mir[handle]
         for u in verts:
             if u != head:
@@ -307,52 +222,34 @@ class Hop:
 
         Returns the first probed edge whose min-load member sits at
         least eta/2 below d_in(v).  A fresh Hop probes all of In(v) in
-        attach order; a lazy one probes the next few edges and moves the
-        cursor past everything probed.  The violation test uses true
-        loads; in lazy mode every probed edge is also informed of v's
-        current load, so probe passes never starve the round-robin
-        inform schedule.
+        attach order; a lazy one probes the next few edges of the
+        cursor order through the inform step, so every probed edge is
+        also informed of v's current load and probe passes never starve
+        the round-robin inform schedule.  The violation test uses true
+        loads.
         """
         deg = self._degs.deg
-        deg_v = deg[v]
-        limit = deg_v - self.eta / 2.0
-        if self._fresh:
-            # the budget covers In(v) and tightness depends only on the
-            # vertex set: test each group once and return the oldest
-            # attached edge of the tight groups, the one a scan of In(v)
-            # in attach order would meet first
-            best_h = None
-            best_seq = math.inf
-            for vs, group in self._in[v].groups.items():
-                bd = deg[vs[0]]
-                for u in vs[1:]:
-                    d = deg[u]
-                    if d < bd:
-                        bd = d
-                if bd <= limit:
-                    for h, seq in group.items():  # the group's oldest edge
-                        break
-                    if seq < best_seq:
-                        best_h, best_seq = h, seq
-            return best_h
-        rr = self._in[v]
-        verts_map = self._verts
-        mir = self._mir
-        dirty = self._dirty
-        for _ in range(self._probe_count(v)):
-            h = rr.advance()
-            mir[h][v] = deg_v
-            vs = verts_map[h]
-            bd = deg_v
-            for u in vs:
-                if u != v:
-                    dirty[u].add(h)
-                    d = deg[u]
-                    if d < bd:
-                        bd = d
+        limit = deg[v] - self.eta / 2.0
+        if not self._fresh:
+            return self._inform(v, self._probe_count(v), limit)
+        # the budget covers In(v) and tightness depends only on the vertex
+        # set: test each group once and return the oldest attached edge of
+        # the tight groups, the one a scan of In(v) in attach order would
+        # meet first
+        best_h = None
+        best_seq = math.inf
+        for vs, group in self._in[v].items():
+            bd = deg[vs[0]]
+            for u in vs[1:]:
+                d = deg[u]
+                if d < bd:
+                    bd = d
             if bd <= limit:
-                return h
-        return None
+                for h, seq in group.items():  # the group's oldest edge
+                    break
+                if seq < best_seq:
+                    best_h, best_seq = h, seq
+        return best_h
 
     def _tight_out_edge(self, v: int) -> Optional[int]:
         """Peek the max-mirror-key edge of Out(v); lazily drops stale entries.
@@ -361,9 +258,9 @@ class Hop:
         set and get (re)pushed here, so informs stay O(1) per observer.
         """
         out = self._out[v]
-        head = self._head
         if self._fresh:
             # mirrors are definitionally current: argmax over true loads
+            head = self._head
             deg = self._degs.deg
             best_h = None
             best = -1
@@ -380,7 +277,7 @@ class Hop:
         if dirty:
             for h in dirty:
                 if h in out:
-                    heapq.heappush(heap, (-mir[h][head[h]], h))
+                    heapq.heappush(heap, (-mir[h], h))
             dirty.clear()
             self._maybe_compact(v)
             heap = self._heap[v]
@@ -389,7 +286,7 @@ class Hop:
             if h not in out:
                 heapq.heappop(heap)
                 continue
-            cur = mir[h][head[h]]
+            cur = mir[h]
             if -negkey != cur:
                 heapq.heappop(heap)
                 continue
@@ -398,49 +295,50 @@ class Hop:
             return None
         return None
 
-    def _inform(self, v: int) -> None:
-        """Push v's new load to the members of the next few In(v) edges."""
-        if self._fresh:
-            return
-        deg_v = self._degs.deg[v]
+    def _inform(self, v: int, count: int, limit: float = -1.0) -> Optional[int]:
+        """Tell the members of the next `count` In(v) edges v's load.
+
+        Each informed edge moves to the end of the cursor order, takes
+        d_in(v) as its mirror and is marked dirty at its other members.
+        Stops at, and returns, the first informed edge with another
+        member whose load is at most `limit` (by default none can be).
+        """
+        deg = self._degs.deg
+        deg_v = deg[v]
         rr = self._in[v]
-        count = min(len(rr), math.ceil(4.0 * max(deg_v, 1) / self.eta))
-        dirty = self._dirty
         mir = self._mir
+        dirty = self._dirty
         verts_map = self._verts
-        if count == len(rr):
-            for h in rr._next:
-                mir[h][v] = deg_v
-                for u in verts_map[h]:
-                    if u != v:
-                        dirty[u].add(h)
-            return
-        for _ in range(count):
-            h = rr.advance()
-            mir[h][v] = deg_v
+        move_to_end = rr.move_to_end
+        # count <= len(In(v)), so the first `count` keys, taken before any
+        # move, are the ones that reach the front one after another
+        for h in list(itertools.islice(rr, count)):
+            move_to_end(h)
+            mir[h] = deg_v
+            tight = False
             for u in verts_map[h]:
                 if u != v:
                     dirty[u].add(h)
+                    if deg[u] <= limit:
+                        tight = True
+            if tight:
+                return h
+        return None
 
     def _maybe_compact(self, v: int) -> None:
         heap = self._heap[v]
         out = self._out[v]
         if len(heap) > 4 * len(out) + 16:
             mir = self._mir
-            head = self._head
-            self._heap[v] = [(-mir[h][head[h]], h) for h in out]
+            self._heap[v] = [(-mir[h], h) for h in out]
             heapq.heapify(self._heap[v])
             self._dirty[v].clear()
 
-    def _increment(self, v: int) -> None:
-        self._degs.shift(v, +1)
-        self._inform(v)
-
-    def _decrement(self, v: int) -> None:
-        if self._degs.deg[v] < 1:
-            raise AssertionError(f"decrement of vertex {v} at in-degree 0")
-        self._degs.shift(v, -1)
-        self._inform(v)
+    def _shift(self, v: int, delta: int) -> None:
+        self._degs.shift(v, delta)
+        if not self._fresh:
+            d = max(self._degs.deg[v], 1)
+            self._inform(v, min(len(self._in[v]), math.ceil(4.0 * d / self.eta)))
 
     # -- public operations ---------------------------------------------
 
@@ -462,7 +360,7 @@ class Hop:
                 break
             v = self._argmin_vertex(self._verts[f])
             self._rotate(f, v)
-        self._increment(v)
+        self._shift(v, +1)
 
     def delete(self, handle: int) -> None:
         if handle not in self._verts:
@@ -478,7 +376,9 @@ class Hop:
             w = self._head[f]
             self._rotate(f, v)
             v = w
-        self._decrement(v)
+        if self._degs.deg[v] < 1:
+            raise AssertionError(f"decrement of vertex {v} at in-degree 0")
+        self._shift(v, -1)
 
     # -- queries -------------------------------------------------------
 
@@ -525,7 +425,7 @@ class Hop:
         bound = self.eta / 4.0 + 1e-9
         for h, verts in self._verts.items():
             v = self._head[h]
-            believed = self._mir[h][v]
+            believed = self._mir[h]
             if len(verts) > 1 and abs(deg[v] - believed) > bound:
                 raise AssertionError(
                     f"stale mirror on edge {h}: true d_in({v})={deg[v]}, "
@@ -544,16 +444,18 @@ class Hop:
             v = self._head[h]
             assert v in verts, f"head of {h} not a member"
             counts[v] += 1
-            assert h in self._in[v], f"edge {h} missing from In({v})"
+            in_v = self._in[v].get(verts, ()) if self._fresh else self._in[v]
+            assert h in in_v, f"edge {h} missing from In({v})"
             for u in verts:
                 if u != v:
                     assert h in self._out[u], f"edge {h} missing from Out({u})"
         assert counts == self._degs.deg, "in-degree counters diverged"
         assert sum(counts) == len(self._verts)
         for v in range(self.n):
-            assert len(self._in[v]) == counts[v]
             if self._fresh:
-                for key, group in self._in[v].groups.items():
+                groups = self._in[v]
+                assert sum(map(len, groups.values())) == counts[v]
+                for key, group in groups.items():
                     assert group, f"empty group {key} in In({v})"
                     for h in group:
                         assert self._verts[h] == key and self._head[h] == v, (
@@ -563,5 +465,7 @@ class Hop:
                     assert all(a < b for a, b in zip(seqs, seqs[1:])), (
                         f"group {key} in In({v}) out of attach order"
                     )
+            else:
+                assert len(self._in[v]) == counts[v]
             for h in self._out[v]:
                 assert h in self._verts and self._head[h] != v

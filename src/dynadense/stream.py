@@ -171,19 +171,15 @@ class _Driver:
                 seed=config.seed,
                 dup_constant=config.dup_constant,
             )
-        self._handles: Dict[int, object] = {}
-        self._next = 0
 
-    def insert(self, verts: Tuple[int, ...], weight: int) -> int:
-        token = self._next
-        self._next += 1
+    def insert(self, verts: Tuple[int, ...], weight: int) -> Tuple[int, object]:
+        """Insert into the mirror and the structure; returns both handles."""
         gh = self.mirror.insert(verts, weight)
         inner = None if self._struct is None else self._struct.insert(verts, weight)
-        self._handles[token] = (gh, inner)
-        return token
+        return gh, inner
 
-    def delete(self, token: int) -> None:
-        gh, inner = self._handles.pop(token)
+    def delete(self, handles: Tuple[int, object]) -> None:
+        gh, inner = handles
         self.mirror.delete(gh)
         if self._struct is not None:
             self._struct.delete(inner)
@@ -211,11 +207,10 @@ class _Driver:
         elif self.algo == "greedy":
             res = greedy_peel(self.mirror)
             est, subset = float(res.best_density), set(res.best_set)
-        support = self.mirror.support()
         if self.algo == "wdshp" and est <= 0.0:
             # no guess qualifies: fall back to the full support
-            subset = support
-        if len(support) > self.config.oracle_support_limit:
+            subset = self.mirror.support()
+        if _support_exceeds(self.mirror, self.config.oracle_support_limit):
             # past the oracle's support limit the exact column, and the
             # exact algorithm's answer, stay empty
             return est, subset, None
@@ -224,6 +219,20 @@ class _Driver:
         if self.algo == "exact":
             est, subset = exact, set(oracle.best_set)
         return est, subset, exact
+
+
+def _support_exceeds(graph: WeightedHypergraph, limit: int) -> bool:
+    """Whether more than ``limit`` vertices touch a live edge.
+
+    Stops at the first edge that takes the count past the limit, so a
+    large window costs a few edges rather than a full support build.
+    """
+    seen: Set[int] = set()
+    for _, verts, _ in graph.edges():
+        seen.update(verts)
+        if len(seen) > limit:
+            return True
+    return False
 
 
 def run_stream(
@@ -257,9 +266,10 @@ def run_stream(
     driver = _Driver(config, n, r, len(events), w_max)
 
     points: List[ReportPoint] = []
-    window: Deque[Tuple[int, int, Tuple[int, ...]]] = deque()  # (ts, token, verts)
+    # (ts, driver handles or None under dedupe, verts)
+    window: Deque[Tuple[int, Optional[Tuple[int, object]], Tuple[int, ...]]] = deque()
     live_sets: Dict[Tuple[int, ...], int] = {}  # dedupe refcounts
-    token_of_set: Dict[Tuple[int, ...], int] = {}
+    handles_of_set: Dict[Tuple[int, ...], Tuple[int, object]] = {}
     interval_updates = 0
     interval_time_ns = 0
     interval_max_ns = 0
@@ -286,23 +296,21 @@ def run_stream(
         if config.dedupe_edges:
             count = live_sets.get(ev.vertices, 0)
             live_sets[ev.vertices] = count + 1
-            if count > 0:
-                window.append((ev.timestamp, -1, ev.vertices))
-                return
-            token_of_set[ev.vertices] = timed(driver.insert, ev.vertices, ev.weight)
-            window.append((ev.timestamp, -1, ev.vertices))
+            if count == 0:
+                handles_of_set[ev.vertices] = timed(driver.insert, ev.vertices, ev.weight)
+            window.append((ev.timestamp, None, ev.vertices))
             return
-        token = timed(driver.insert, ev.vertices, ev.weight)
-        window.append((ev.timestamp, token, ev.vertices))
+        handles = timed(driver.insert, ev.vertices, ev.weight)
+        window.append((ev.timestamp, handles, ev.vertices))
 
-    def do_expire(token: int, verts: Tuple[int, ...]) -> None:
+    def do_expire(handles: Optional[Tuple[int, object]], verts: Tuple[int, ...]) -> None:
         if config.dedupe_edges:
             live_sets[verts] -= 1
             if live_sets[verts] > 0:
                 return
             del live_sets[verts]
-            token = token_of_set.pop(verts)
-        timed(driver.delete, token)
+            handles = handles_of_set.pop(verts)
+        timed(driver.delete, handles)
 
     def emit(report_time: int) -> None:
         nonlocal interval_updates, interval_time_ns, interval_max_ns
@@ -337,8 +345,8 @@ def run_stream(
         if config.mode == "window":
             horizon = ts - config.window_length
             while window and window[0][0] <= horizon:
-                _, token, verts = window.popleft()
-                do_expire(token, verts)
+                _, handles, verts = window.popleft()
+                do_expire(handles, verts)
         while idx < len(events) and events[idx].timestamp == ts:
             do_insert(events[idx])
             idx += 1
