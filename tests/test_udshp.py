@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -208,3 +209,51 @@ def test_core_heavy_insert_stream_is_pinned():
     assert digest.hexdigest() == (
         "17c9bef7c0d283b01c291107e1b39bc21469d25e1d5c4ec5378324b65460b097"
     )
+
+
+def test_window_churn_stream_is_pinned():
+    # sliding-window churn at dup 10 whose live count swings 120 <-> 8:
+    # low copies withhold core edges, deletes swap them back in and the
+    # active index advances and retreats; the per-step state was captured
+    # while swap-ins still scanned each copy's pending list
+    rng = random.Random(11)
+    n = 60
+    u = Udshp(n, m_bound=400, r=3, epsilon=0.3, dup_constant=0.05)
+    assert u.dup == 10
+    deleting = False
+    swap_ins = 0
+
+    def counted(insert):
+        def wrapper(handle, verts):
+            nonlocal swap_ins
+            swap_ins += deleting
+            insert(handle, verts)
+
+        return wrapper
+
+    for copy in u.copies.values():
+        copy.insert = counted(copy.insert)
+    window = collections.deque()
+    retreats = top = 0
+    digest = hashlib.sha256()
+    for target in (120, 8) * 3:
+        for _ in range(110):
+            if len(window) < target:
+                core = rng.random() < 0.6
+                verts = rng.sample(range(8 if core else n), rng.randint(2, 3))
+                window.append(u.insert(verts))
+                top = max(top, u.active)
+            if len(window) > target or (len(window) > 1 and rng.random() < 0.3):
+                before = u.active
+                deleting = True
+                u.delete(window.popleft())
+                deleting = False
+                retreats += u.active < before
+            pending = [list(u._pending[j]) for j in u.copies]
+            state = (u.active, u.max_density(), sorted(u.densest_subset()), pending)
+            digest.update(repr(state).encode())
+    u.check_wrapper_invariants(strict_above_active=False)
+    assert digest.hexdigest() == (
+        "6873d46774103854dfcc4f739a34b566e0324488a49ea52d837385dcfcf34382"
+    )
+    assert top >= 7 and retreats >= 15 and swap_ins >= 8000
