@@ -11,12 +11,18 @@ handles the copy holds, its pending list which ones it withholds, and
 the public table maps a handle to its vertex set and the contiguous
 range of internal handles behind it.  Only copies below the active index
 withhold edges, so the top copy holds every live internal handle.
+
+Beside each pending list sits an index derived from it: per vertex, the
+pending handles containing that vertex, in withhold order, with no empty
+bucket.  A delete that frees capacity at a head vertex swaps in the first
+handle of that vertex's bucket, which is the first pending edge
+containing the head, without scanning the list.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .hop import Hop
 from .model import EdgeVerts, canonical_edge, log2c
@@ -72,6 +78,11 @@ class Udshp:
         self.active = 0
         # per copy: FIFO pending handles withheld from that copy
         self._pending: Dict[int, Dict[int, EdgeVerts]] = {i: {} for i in self.copies}
+        # per copy: vertex -> {pending handle containing it: None}, in
+        # withhold order; maintained wherever _pending changes
+        self._pending_at: Dict[int, Dict[int, Dict[int, None]]] = {
+            i: {} for i in self.copies
+        }
         # public handle -> (vertex set, its internal handles)
         self._public: Dict[int, Tuple[EdgeVerts, range]] = {}
         self._next_public = 0
@@ -121,25 +132,44 @@ class Udshp:
         for j, copy in self.copies.items():
             if j < active and min(copy.d_in(u) for u in verts) >= 2 * self.d_tilde(j):
                 self._pending[j][handle] = verts
+                index = self._pending_at[j]
+                for v in verts:
+                    bucket = index.get(v)
+                    if bucket is None:
+                        index[v] = {handle: None}
+                    else:
+                        bucket[handle] = None
             else:
                 copy.insert(handle, verts)
+
+    def _unpend(self, j: int, handle: int) -> EdgeVerts:
+        """Drop a pending handle from copy j's list and index; return its set."""
+        verts = self._pending[j].pop(handle)
+        index = self._pending_at[j]
+        for v in verts:
+            bucket = index[v]
+            del bucket[handle]
+            if not bucket:
+                del index[v]
+        return verts
 
     def _delete_internal(self, handle: int) -> None:
         self._retreat_active()
         active = self.active
         for j, copy in self.copies.items():
-            pending = self._pending[j]
-            if pending.pop(handle, None) is not None:
+            if handle in self._pending[j]:
+                self._unpend(j, handle)
                 continue
             head = copy.head_of(handle)
             copy.delete(handle)
-            if j > active or not pending:
+            if j > active:
                 continue
             # deleting freed capacity at this copy's head vertex: pull in the
             # first pending edge containing that head, if any
-            swap = next((h2 for h2, v2 in pending.items() if head in v2), None)
-            if swap is not None:
-                copy.insert(swap, pending.pop(swap))
+            bucket = self._pending_at[j].get(head)
+            if bucket is not None:
+                swap = next(iter(bucket))
+                copy.insert(swap, self._unpend(j, swap))
 
     # -- public operations ---------------------------------------------
 
@@ -186,6 +216,8 @@ class Udshp:
     def check_wrapper_invariants(self, strict_above_active: bool = True) -> None:
         """Inserted/pending bookkeeping must partition the live edge set.
 
+        Each copy's pending index must list, per vertex, exactly the pending
+        handles containing it in pending-list order, with no empty bucket.
         With strict_above_active, copies above the active index must hold
         every live edge with nothing pending; that holds whenever the
         active index has never retreated past a copy with pending edges
@@ -199,6 +231,12 @@ class Udshp:
             assert inserted | pending == live, (
                 f"copy {j}: inserted+pending diverged from live set"
             )
+            expected: Dict[int, List[int]] = {}
+            for h, verts in self._pending[j].items():
+                for v in verts:
+                    expected.setdefault(v, []).append(h)
+            index = {v: list(bucket) for v, bucket in self._pending_at[j].items()}
+            assert index == expected, f"copy {j}: pending index diverged from list"
             if strict_above_active and j > self.active:
                 assert not pending, (
                     f"copy {j} above active={self.active} must hold all live edges"
