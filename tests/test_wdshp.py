@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from dynadense.hop import Hop
 from dynadense.model import WeightedHypergraph, density
 from dynadense.oracles import exact_densest_bruteforce
 from dynadense.udshp import Udshp
@@ -280,3 +282,39 @@ class TestQueries:
         assert rho / (1 + delta) - 1e-9 <= est <= rho + 1e-9
         sub = w.densest_subset()
         assert float(density(g, sub)) >= rho / (1 + delta) - 1e-9
+
+
+
+@pytest.mark.parametrize("kind", ["hop", "udshp", "wdshp"])
+def test_subset_lies_in_live_support(kind):
+    # a subset threshold reaching in-degree 0 used to add every vertex of
+    # the instance; the answer may hold only vertices on live edges, from
+    # the first edge (all three start with one edge among 50 vertices)
+    n = 50
+    if kind == "hop":
+        hop = Hop(n, 0.5, 4.0, eta_override=2.0)
+        handles = itertools.count()
+
+        def insert(verts, _weight):
+            h = next(handles)
+            hop.insert(h, verts)
+            return h
+
+        delete, subset = hop.delete, hop.query_subset
+    elif kind == "udshp":
+        u = Udshp(n, m_bound=40, r=3, epsilon=0.5, dup_constant=0.0)
+        insert, delete, subset = u.insert, u.delete, u.densest_subset
+    else:
+        w = small_instance(n=n, m_bound=40)
+        insert, delete, subset = w.insert, w.delete, w.densest_subset
+    rng = random.Random(3)
+    live = {}
+    for _ in range(60):
+        if len(live) >= 12 or (len(live) > 1 and rng.random() < 0.4):
+            h = rng.choice(sorted(live))
+            delete(h)
+            del live[h]
+        else:
+            verts = tuple(sorted(rng.sample(range(n), rng.randint(2, 3))))
+            live[insert(verts, rng.randint(1, 3))] = verts
+        assert subset() <= set().union(*live.values())
