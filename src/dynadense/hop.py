@@ -400,8 +400,9 @@ class Hop:
             a = b
             b = self._degs.at_least(level - eta)
         if level - eta < 1:
-            # bucket 0 joined: it holds every vertex of the instance, so keep
-            # only those on a live edge (dropping the others raises density)
+            # a threshold this low can reach bucket 0, which holds every
+            # vertex of the instance: keep only those on a live edge
+            # (dropping the others raises density)
             deg, out = self._degs.deg, self._out
             b = {v for v in b if deg[v] or out[v]}
         return b
