@@ -14,10 +14,11 @@ Supporting structures per vertex:
   and a new edge enters last.  Below that they are grouped by vertex
   set, since a probe covers all of In(v) and tightness depends only on
   the vertex set;
-* a set of edges containing the vertex but headed elsewhere, paired
-  with a lazy max-heap keyed by the locally-known head load (heap
-  entries are created on demand from a dirty set and stale ones are
-  discarded when popped);
+* the edges containing the vertex but headed elsewhere (Out(v)), in the
+  order they entered it, so the fresh delete chain's argmax gives a tie
+  to the edge that entered last; paired with a lazy max-heap
+  keyed by the locally-known head load (heap entries are created on
+  demand from a dirty set and stale ones are discarded when popped);
 * one locally-known ("mirror") load per edge: the load of its head as
   last told to its members.  All members of an edge are informed
   together, so one cell serves every observer.
@@ -109,7 +110,8 @@ class Hop:
 
         self._verts: Dict[int, EdgeVerts] = {}
         self._head: Dict[int, int] = {}
-        self._out: List[Set[int]] = [set() for _ in range(n)]
+        # Out(v): {handle: None} in entry order
+        self._out: List[Dict[int, None]] = [{} for _ in range(n)]
         # With eta < 4 the probe budget ceil(4 d / eta) exceeds d, so it
         # covers all of In(v) (at most d + 1 edges) at every load change and
         # mirrors would always equal the true loads.  In that regime nothing
@@ -184,14 +186,14 @@ class Hop:
                 group[handle] = next(self._attach_seq)
             for u in verts:
                 if u != head:
-                    out[u].add(handle)
+                    out[u][handle] = None
             return
         self._in[head][handle] = None
         self._mir[handle] = self._degs.deg[head]
         dirty = self._dirty
         for u in verts:
             if u != head:
-                out[u].add(handle)
+                out[u][handle] = None
                 dirty[u].add(handle)
 
     def _detach(self, handle: int) -> None:
@@ -208,7 +210,7 @@ class Hop:
             del self._mir[handle]
         for u in verts:
             if u != head:
-                self._out[u].discard(handle)
+                del self._out[u][handle]
 
     def _rotate(self, handle: int, v: int) -> None:
         verts = self._verts[handle]
@@ -259,14 +261,15 @@ class Hop:
         """
         out = self._out[v]
         if self._fresh:
-            # mirrors are definitionally current: argmax over true loads
+            # mirrors are definitionally current: argmax over true loads,
+            # the latest entry of Out(v) winning a tie
             head = self._head
             deg = self._degs.deg
             best_h = None
             best = -1
             for h in out:
                 k = deg[head[h]]
-                if k > best:
+                if k >= best:
                     best, best_h = k, h
             if best_h is not None and best >= deg[v] + self.eta / 2.0:
                 return best_h

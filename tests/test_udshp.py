@@ -215,7 +215,7 @@ def test_window_churn_stream_is_pinned():
     # sliding-window churn at dup 10 whose live count swings 120 <-> 8:
     # low copies withhold core edges, deletes swap them back in and the
     # active index advances and retreats; the per-step state was captured
-    # while swap-ins still scanned each copy's pending list
+    # when Out(v) began to keep entry order
     rng = random.Random(11)
     n = 60
     u = Udshp(n, m_bound=400, r=3, epsilon=0.3, dup_constant=0.05)
@@ -254,6 +254,6 @@ def test_window_churn_stream_is_pinned():
             digest.update(repr(state).encode())
     u.check_wrapper_invariants(strict_above_active=False)
     assert digest.hexdigest() == (
-        "6873d46774103854dfcc4f739a34b566e0324488a49ea52d837385dcfcf34382"
+        "31c34ba9dc444a1be86aa165ce67b8e0a2964e23bf946f90a2d946fe2da7bcec"
     )
     assert top >= 7 and retreats >= 15 and swap_ins >= 8000
