@@ -68,6 +68,13 @@ class _DegreeBuckets:
         elif old == self.max_deg and old not in self.buckets:
             self.max_deg = old - 1 if new < old else new
 
+    def clone(self) -> "_DegreeBuckets":
+        c = _DegreeBuckets.__new__(_DegreeBuckets)
+        c.deg = list(self.deg)
+        c.buckets = {d: set(b) for d, b in self.buckets.items()}
+        c.max_deg = self.max_deg
+        return c
+
     def at_least(self, threshold: float) -> Set[int]:
         out: Set[int] = set()
         d = self.max_deg
@@ -79,6 +86,9 @@ class _DegreeBuckets:
 
 class Hop:
     """Orientation maintainer for one load-estimate guess d_tilde.
+
+    d_tilde only sets the default eta and is not kept, so Hops with equal
+    eta behave alike whatever guess they were built for.
 
     eta defaults to epsilon^2 * d_tilde / (32 log2 n); callers that need
     integral loads below that formula's validity range (or tests pinning
@@ -100,7 +110,6 @@ class Hop:
             raise ValueError("d_tilde must be positive")
         self.n = n
         self.epsilon = epsilon
-        self.d_tilde = d_tilde
         if eta_override is not None:
             if eta_override <= 0:
                 raise ValueError("eta_override must be positive")
@@ -123,7 +132,7 @@ class Hop:
         self._fresh = self.eta < 4.0
         self._in: List[Union[Dict[EdgeVerts, Dict[int, int]], OrderedDict[int, None]]]
         self._in = [{} if self._fresh else OrderedDict() for _ in range(n)]
-        self._attach_seq = itertools.count()
+        self._attach_seq = 0
         lazy_n = 0 if self._fresh else n
         self._heap: List[List[Tuple[int, int]]] = [[] for _ in range(lazy_n)]
         # edges of Out(v) whose key changed since their last heap push
@@ -132,6 +141,32 @@ class Hop:
         self._mir: Dict[int, int] = {}
         self._degs = _DegreeBuckets(n)
         self.last_rotations = 0
+
+    def clone(self) -> "Hop":
+        """An independent Hop in the same state, answering as this one would.
+
+        Every container is copied one by one rather than through
+        ``__dict__``, so only the state is copied: attributes set on the
+        instance (such as patched methods) stay with this one.  Copied
+        dicts keep their order, so Out(v) ties and the In(v) cursor and
+        attach order carry over.
+        """
+        c = Hop.__new__(Hop)
+        c.n, c.epsilon, c.eta, c._fresh = self.n, self.epsilon, self.eta, self._fresh
+        c._verts = dict(self._verts)
+        c._head = dict(self._head)
+        c._out = [dict(out) for out in self._out]
+        if self._fresh:
+            c._in = [{vs: dict(g) for vs, g in groups.items()} for groups in self._in]
+        else:
+            c._in = [OrderedDict(rr) for rr in self._in]
+        c._attach_seq = self._attach_seq
+        c._heap = [list(heap) for heap in self._heap]
+        c._dirty = [set(dirty) for dirty in self._dirty]
+        c._mir = dict(self._mir)
+        c._degs = self._degs.clone()
+        c.last_rotations = self.last_rotations
+        return c
 
     # -- basic views ---------------------------------------------------
 
@@ -178,12 +213,14 @@ class Hop:
         self._head[handle] = head
         out = self._out
         if self._fresh:
+            seq = self._attach_seq
+            self._attach_seq = seq + 1
             groups = self._in[head]
             group = groups.get(verts)
             if group is None:
-                groups[verts] = {handle: next(self._attach_seq)}
+                groups[verts] = {handle: seq}
             else:
-                group[handle] = next(self._attach_seq)
+                group[handle] = seq
             for u in verts:
                 if u != head:
                     out[u][handle] = None

@@ -17,6 +17,15 @@ pending handles containing that vertex, in withhold order, with no empty
 bucket.  A delete that frees capacity at a head vertex swaps in the first
 handle of that vertex's bucket, which is the first pending edge
 containing the head, without scanning the list.
+
+Copies whose slack is equal (the clamped low guesses, slack 1) share one
+Hop object, so one insert or delete serves them all.  Sharing is exact:
+a Hop's state depends only on its slack and its operations, and a copy
+that has never withheld an edge has received every operation, with no
+pending edge to swap in.  Sharing copies form a contiguous run, and only
+its lowest member can withhold, since it has the smallest threshold over
+the same loads.  When it first does, it forks: it takes a clone of the
+run's Hop and goes on alone.  A copy never rejoins a run.
 """
 
 from __future__ import annotations
@@ -67,14 +76,14 @@ class Udshp:
         )
         self.num_copies = max(math.ceil(math.log2(m_bound * self.dup)), 1)
         self.slack_constant = slack_constant
+        # copies with equal slack share one Hop until one of them forks
         self.copies: Dict[int, Hop] = {}
+        hop = None
         for i in range(1, self.num_copies + 1):
-            d_tilde = float(2 ** (i - 1))
-            eta = epsilon * epsilon * d_tilde / (slack_constant * log2c(n))
-            # slack below 1 cannot govern integral loads; clamp (the
-            # duplication factor is what makes the active copy's slack
-            # meaningful at the analysis scale)
-            self.copies[i] = Hop(n, epsilon, d_tilde, eta_override=max(eta, 1.0))
+            eta = self._slack(i)
+            if hop is None or hop.eta != eta:
+                hop = Hop(n, epsilon, self.d_tilde(i), eta_override=eta)
+            self.copies[i] = hop
         self.active = 0
         # per copy: FIFO pending handles withheld from that copy
         self._pending: Dict[int, Dict[int, EdgeVerts]] = {i: {} for i in self.copies}
@@ -104,6 +113,15 @@ class Udshp:
     def d_tilde(self, i: int) -> int:
         return 2 ** (i - 1)
 
+    def _slack(self, i: int) -> float:
+        """Copy i's Hop slack: the analysis formula, clamped to at least 1."""
+        eps2 = self.epsilon * self.epsilon
+        eta = eps2 * self.d_tilde(i) / (self.slack_constant * log2c(self.n))
+        # slack below 1 cannot govern integral loads (the duplication factor
+        # is what makes the active copy's slack meaningful at the analysis
+        # scale)
+        return max(eta, 1.0)
+
     def _query_copy_index(self) -> int:
         return max(self.active, 1)
 
@@ -129,8 +147,19 @@ class Udshp:
     def _insert_internal(self, handle: int, verts: EdgeVerts) -> None:
         self._advance_active()
         active = self.active
-        for j, copy in self.copies.items():
+        copies = self.copies
+        inserted = None
+        for j, copy in copies.items():
+            if copy is inserted:
+                # a higher member of a shared run: its lowest member took
+                # the edge, and with equal loads and a larger threshold it
+                # would have taken it too
+                continue
             if j < active and min(copy.d_in(u) for u in verts) >= 2 * self.d_tilde(j):
+                if copies.get(j + 1) is copy:
+                    # the lowest member of a shared run withholds first:
+                    # fork it off with the state the run has so far
+                    copies[j] = copy.clone()
                 self._pending[j][handle] = verts
                 index = self._pending_at[j]
                 for v in verts:
@@ -141,6 +170,7 @@ class Udshp:
                         bucket[handle] = None
             else:
                 copy.insert(handle, verts)
+                inserted = copy
 
     def _unpend(self, j: int, handle: int) -> EdgeVerts:
         """Drop a pending handle from copy j's list and index; return its set."""
@@ -156,12 +186,16 @@ class Udshp:
     def _delete_internal(self, handle: int) -> None:
         self._retreat_active()
         active = self.active
+        deleted = None
         for j, copy in self.copies.items():
             if handle in self._pending[j]:
                 self._unpend(j, handle)
                 continue
+            if copy is deleted:
+                continue  # a shared Hop, already done; shared copies withhold nothing
             head = copy.head_of(handle)
             copy.delete(handle)
+            deleted = copy
             if j > active:
                 continue
             # deleting freed capacity at this copy's head vertex: pull in the
@@ -218,13 +252,23 @@ class Udshp:
 
         Each copy's pending index must list, per vertex, exactly the pending
         handles containing it in pending-list order, with no empty bucket.
+        Each copy's Hop must have the copy's slack, and copies sharing a
+        Hop must be contiguous and withhold nothing.
         With strict_above_active, copies above the active index must hold
         every live edge with nothing pending; that holds whenever the
         active index has never retreated past a copy with pending edges
         (e.g. insertion-only runs).
         """
         live = {ih for _, internals in self._public.values() for ih in internals}
-        for j, copy in self.copies.items():
+        copies = self.copies
+        runs = [copy for j, copy in copies.items() if copies.get(j - 1) is not copy]
+        assert len(set(map(id, runs))) == len(runs), "shared Hop not contiguous"
+        for j, copy in copies.items():
+            assert copy.eta == self._slack(j), f"copy {j}: slack {copy.eta}"
+            if copy is copies.get(j - 1) or copy is copies.get(j + 1):
+                assert not self._pending[j] and not self._pending_at[j], (
+                    f"copy {j} shares its Hop but withholds edges"
+                )
             inserted = {h for h, _ in copy.edges()}
             pending = set(self._pending[j])
             assert not (inserted & pending), f"copy {j}: handle both live and pending"

@@ -257,6 +257,58 @@ def test_repeated_vertex_set_bursts_are_pinned(eta_override):
     assert digest.hexdigest() == BURST_DIGESTS[eta_override]
 
 
+@pytest.mark.parametrize("eta_override", [1.5, 6.0])
+def test_clone_runs_in_lock_step(eta_override):
+    # a clone taken mid-stream answers every later operation as its
+    # original does, in the fresh (1.5) and the lazy (6.0) regime, and
+    # shares no container with it
+    rng = random.Random(int(eta_override * 10))
+    n = 10
+    pool = [tuple(sorted(rng.sample(range(n), rng.randint(2, 3)))) for _ in range(12)]
+    h = Hop(n, 0.4, 64.0, eta_override=eta_override)
+    live = []
+    next_handle = 0
+
+    def burst(hops):
+        nonlocal next_handle
+        if len(live) > 30 and rng.random() < 0.45:
+            for k in [live.pop(rng.randrange(len(live))) for _ in range(rng.randint(1, 8))]:
+                yield [hop.delete(k) for hop in hops]
+        else:
+            verts = rng.choice(pool)
+            for _ in range(rng.randint(1, 8)):
+                yield [hop.insert(next_handle, verts) for hop in hops]
+                live.append(next_handle)
+                next_handle += 1
+
+    def state(hop):
+        subset = hop.query_subset() if live else None
+        heads = {k: hop.head_of(k) for k in live}
+        return heads, [hop.d_in(v) for v in range(n)], hop.last_rotations, subset
+
+    for _ in range(40):
+        for _ in burst([h]):
+            pass
+    twin = h.clone()
+    assert state(twin) == state(h)
+    rotations = 0
+    for _ in range(80):
+        for _ in burst([h, twin]):
+            assert state(twin) == state(h)
+            rotations += h.last_rotations
+        check_all(h)
+        check_all(twin)
+    assert rotations > 40
+    before = state(h)
+    for k in live[: len(live) // 2]:
+        twin.delete(k)
+    for k in range(next_handle, next_handle + 20):
+        twin.insert(k, pool[k % len(pool)])
+    check_all(twin)
+    assert state(h) == before
+    check_all(h)
+
+
 class TestQueries:
     def test_density_empty(self):
         h = Hop(4, 0.5, 4.0, eta_override=2.0)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dynadense.hop import Hop
 from dynadense.model import WeightedHypergraph, density, log2c
 from dynadense.oracles import exact_densest_bruteforce
 from dynadense.udshp import Udshp
@@ -211,7 +212,7 @@ def test_core_heavy_insert_stream_is_pinned():
     )
 
 
-def test_window_churn_stream_is_pinned():
+def test_window_churn_stream_is_pinned(monkeypatch):
     # sliding-window churn at dup 10 whose live count swings 120 <-> 8:
     # low copies withhold core edges, deletes swap them back in and the
     # active index advances and retreats; the per-step state was captured
@@ -223,16 +224,15 @@ def test_window_churn_stream_is_pinned():
     deleting = False
     swap_ins = 0
 
-    def counted(insert):
-        def wrapper(handle, verts):
-            nonlocal swap_ins
-            swap_ins += deleting
-            insert(handle, verts)
+    insert = Hop.insert
 
-        return wrapper
+    def counted(hop, handle, verts):
+        # on the class, so copies forked off later are counted too
+        nonlocal swap_ins
+        swap_ins += deleting
+        insert(hop, handle, verts)
 
-    for copy in u.copies.values():
-        copy.insert = counted(copy.insert)
+    monkeypatch.setattr(Hop, "insert", counted)
     window = collections.deque()
     retreats = top = 0
     digest = hashlib.sha256()
@@ -256,4 +256,55 @@ def test_window_churn_stream_is_pinned():
     assert digest.hexdigest() == (
         "31c34ba9dc444a1be86aa165ce67b8e0a2964e23bf946f90a2d946fe2da7bcec"
     )
-    assert top >= 7 and retreats >= 15 and swap_ins >= 8000
+    assert top >= 7 and retreats >= 15 and swap_ins >= 8000, swap_ins
+
+
+@pytest.mark.parametrize("dup_constant,slack_constant", [(0.0, 32.0), (0.05, 1.0)])
+def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monkeypatch):
+    # copies with equal slack share one Hop until one of them withholds; a
+    # twin whose copies each own a Hop from the start must stay in lock-step
+    # through grow/shrink churn with withholds, swap-ins and retreats.  At
+    # dup 9 the small slack constant leaves the top copies unclamped, with
+    # a Hop each, two of them lazy
+    args = dict(n=30, m_bound=100, r=3, epsilon=0.3, dup_constant=dup_constant,
+                slack_constant=slack_constant)
+    shared, reference = Udshp(**args), Udshp(**args)
+    for j, copy in reference.copies.items():
+        reference.copies[j] = copy.clone()
+    hops = len({id(copy) for copy in shared.copies.values()})
+    assert hops < shared.num_copies
+    assert len({id(copy) for copy in reference.copies.values()}) == shared.num_copies
+    deleting = False
+    swap_ins = 0
+    insert = Hop.insert
+
+    def counted(hop, handle, verts):
+        nonlocal swap_ins
+        swap_ins += deleting
+        insert(hop, handle, verts)
+
+    monkeypatch.setattr(Hop, "insert", counted)
+    rng = random.Random(5)
+    window = collections.deque()
+    retreats = 0
+    for target in (90, 4) * 2:
+        for _ in range(110):
+            if len(window) < target:
+                core = rng.random() < 0.6
+                verts = rng.sample(range(6 if core else args["n"]), rng.randint(2, 3))
+                window.append((shared.insert(verts), reference.insert(verts)))
+            if len(window) > target or (len(window) > 1 and rng.random() < 0.3):
+                before = shared.active
+                hs, hr = window.popleft()
+                deleting = True
+                shared.delete(hs)
+                reference.delete(hr)
+                deleting = False
+                retreats += shared.active < before
+            assert _udshp_state(shared) == _udshp_state(reference)
+            assert shared.max_density() == reference.max_density()
+            assert shared.densest_subset() == reference.densest_subset()
+            shared.check_wrapper_invariants(strict_above_active=False)
+    forked = len({id(copy) for copy in shared.copies.values()})
+    assert forked > hops and retreats >= 10 and swap_ins >= 100
+    assert shared.dup == (1 if dup_constant == 0.0 else 9)
