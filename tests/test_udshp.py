@@ -269,6 +269,7 @@ def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monke
     args = dict(n=30, m_bound=100, r=3, epsilon=0.3, dup_constant=dup_constant,
                 slack_constant=slack_constant)
     shared, reference = Udshp(**args), Udshp(**args)
+    assert shared.dup == (1 if dup_constant == 0.0 else 9)
     for j, copy in reference.copies.items():
         reference.copies[j] = copy.clone()
     hops = len({id(copy) for copy in shared.copies.values()})
@@ -279,6 +280,7 @@ def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monke
     insert = Hop.insert
 
     def counted(hop, handle, verts):
+        # swap-ins of both twins
         nonlocal swap_ins
         swap_ins += deleting
         insert(hop, handle, verts)
@@ -307,4 +309,3 @@ def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monke
             shared.check_wrapper_invariants(strict_above_active=False)
     forked = len({id(copy) for copy in shared.copies.values()})
     assert forked > hops and retreats >= 10 and swap_ins >= 100
-    assert shared.dup == (1 if dup_constant == 0.0 else 9)
