@@ -4,24 +4,24 @@ Maintains, for a fixed load estimate d_tilde, an assignment of one head
 vertex per hyperedge such that the head's in-degree never exceeds any
 member's in-degree by more than the slack eta.  Inserts and deletes
 trigger chains of head rotations; stale knowledge of neighbor loads is
-refreshed lazily, a few edges per update, round-robin.
+refreshed lazily, a few groups per update, round-robin.
 
 Supporting structures per vertex:
 
-* the edges headed here (In(v)).  For eta >= 4 they form an ordered
-  dict whose order is the round-robin cursor: the first key is the next
-  edge to probe or inform, a probed or informed edge moves to the end,
-  and a new edge enters last.  Below that they are grouped by vertex
-  set, since a probe covers all of In(v) and tightness depends only on
-  the vertex set;
+* the edges headed here (In(v)), grouped by vertex set: tightness and
+  the head load told to the members depend only on the group, so a
+  probe or an inform costs one step per group however many parallel
+  copies it holds.  For eta >= 4 the group order is the round-robin
+  cursor: the first group is the next to probe or inform, an informed
+  group moves to the end, and a new group enters last;
 * the edges containing the vertex but headed elsewhere (Out(v)), in the
   order they entered it, so the fresh delete chain's argmax gives a tie
-  to the edge that entered last; paired with a lazy max-heap
+  to the edge that entered last; paired with a lazy max-heap of groups
   keyed by the locally-known head load (heap entries are created on
   demand from a dirty set and stale ones are discarded when popped);
-* one locally-known ("mirror") load per edge: the load of its head as
-  last told to its members.  All members of an edge are informed
-  together, so one cell serves every observer.
+* one locally-known ("mirror") load per (head, vertex set) group: the
+  load of its head as last told to its members.  A group is informed
+  as a whole, so one cell serves every member and every copy.
 
 Mirrors, heaps and dirty sets exist only for eta >= 4.  Below that the
 probe budget ceil(4 d / eta) covers all of In(v), so every mirror would
@@ -36,10 +36,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import EdgeVerts, log2c
+
+# (head, vertex set): names the group of In(head) holding the edges
+# headed at `head` with that vertex set
+_GroupKey = Tuple[int, EdgeVerts]
 
 
 class _DegreeBuckets:
@@ -121,24 +124,24 @@ class Hop:
         self._head: Dict[int, int] = {}
         # Out(v): {handle: None} in entry order
         self._out: List[Dict[int, None]] = [{} for _ in range(n)]
+        # In(v): {vertex set: {handle: attach seq}}, no group empty, so a
+        # probe tests each distinct set once; attach sequence numbers keep
+        # a fresh probe's answer that of a scan in attach order
+        self._in: List[Dict[EdgeVerts, Dict[int, int]]] = [{} for _ in range(n)]
+        self._attach_seq = 0
         # With eta < 4 the probe budget ceil(4 d / eta) exceeds d, so it
         # covers all of In(v) (at most d + 1 edges) at every load change and
         # mirrors would always equal the true loads.  In that regime nothing
         # is informed and probes read true loads; the lazy machinery (the
-        # cursor-ordered In(v), mirrors, heaps, dirty sets) exists only for
-        # eta >= 4.  A fresh In(v) is {vertex set: {handle: attach seq}}, no
-        # group empty, so a probe tests each distinct set once; attach
-        # sequence numbers keep the answer that of a scan in attach order.
+        # group cursor order, mirrors, heaps, dirty sets) exists only for
+        # eta >= 4.
         self._fresh = self.eta < 4.0
-        self._in: List[Union[Dict[EdgeVerts, Dict[int, int]], OrderedDict[int, None]]]
-        self._in = [{} if self._fresh else OrderedDict() for _ in range(n)]
-        self._attach_seq = 0
         lazy_n = 0 if self._fresh else n
-        self._heap: List[List[Tuple[int, int]]] = [[] for _ in range(lazy_n)]
-        # edges of Out(v) whose key changed since their last heap push
-        self._dirty: List[Set[int]] = [set() for _ in range(lazy_n)]
-        # _mir[h] = d_in(head of h) as last told to the members of edge h
-        self._mir: Dict[int, int] = {}
+        self._heap: List[List[Tuple[int, _GroupKey]]] = [[] for _ in range(lazy_n)]
+        # groups in Out(v) whose key changed since their last push
+        self._dirty: List[Set[_GroupKey]] = [set() for _ in range(lazy_n)]
+        # _mir[(head, verts)] = d_in(head) as last told to the group's members
+        self._mir: Dict[_GroupKey, int] = {}
         self._degs = _DegreeBuckets(n)
         self.last_rotations = 0
 
@@ -148,18 +151,15 @@ class Hop:
         Every container is copied one by one rather than through
         ``__dict__``, so only the state is copied: attributes set on the
         instance (such as patched methods) stay with this one.  Copied
-        dicts keep their order, so Out(v) ties and the In(v) cursor and
-        attach order carry over.
+        dicts keep their order, so Out(v) ties and the group cursor and
+        attach order of In(v) carry over.
         """
         c = Hop.__new__(Hop)
         c.n, c.epsilon, c.eta, c._fresh = self.n, self.epsilon, self.eta, self._fresh
         c._verts = dict(self._verts)
         c._head = dict(self._head)
         c._out = [dict(out) for out in self._out]
-        if self._fresh:
-            c._in = [{vs: dict(g) for vs, g in groups.items()} for groups in self._in]
-        else:
-            c._in = [OrderedDict(rr) for rr in self._in]
+        c._in = [{vs: dict(g) for vs, g in groups.items()} for groups in self._in]
         c._attach_seq = self._attach_seq
         c._heap = [list(heap) for heap in self._heap]
         c._dirty = [set(dirty) for dirty in self._dirty]
@@ -209,42 +209,43 @@ class Hop:
         return min(len(self._in[v]), math.ceil(4.0 * d / self.eta))
 
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
-        """Register edge under `head`; lazily, set its mirror to the true load."""
+        """File edge under `head` in its vertex set's group.
+
+        Lazily, a new group's mirror takes the head's true load and is
+        marked dirty at the other members; an edge that joins a live group
+        shares that group's mirror.
+        """
         self._head[handle] = head
+        seq = self._attach_seq
+        self._attach_seq = seq + 1
+        groups = self._in[head]
+        group = groups.get(verts)
+        if group is not None:
+            group[handle] = seq
+        else:
+            groups[verts] = {handle: seq}
+            if not self._fresh:
+                key = (head, verts)
+                self._mir[key] = self._degs.deg[head]
+                dirty = self._dirty
+                for u in verts:
+                    if u != head:
+                        dirty[u].add(key)
         out = self._out
-        if self._fresh:
-            seq = self._attach_seq
-            self._attach_seq = seq + 1
-            groups = self._in[head]
-            group = groups.get(verts)
-            if group is None:
-                groups[verts] = {handle: seq}
-            else:
-                group[handle] = seq
-            for u in verts:
-                if u != head:
-                    out[u][handle] = None
-            return
-        self._in[head][handle] = None
-        self._mir[handle] = self._degs.deg[head]
-        dirty = self._dirty
         for u in verts:
             if u != head:
                 out[u][handle] = None
-                dirty[u].add(handle)
 
     def _detach(self, handle: int) -> None:
         head = self._head.pop(handle)
         verts = self._verts[handle]
-        if self._fresh:
-            groups = self._in[head]
-            group = groups[verts]
-            del group[handle]
-            if not group:
-                del groups[verts]
-        else:
-            del self._in[head][handle]
-            del self._mir[handle]
+        groups = self._in[head]
+        group = groups[verts]
+        del group[handle]
+        if not group:
+            del groups[verts]
+            if not self._fresh:
+                del self._mir[(head, verts)]
         for u in verts:
             if u != head:
                 del self._out[u][handle]
@@ -261,8 +262,8 @@ class Hop:
 
         Returns the first probed edge whose min-load member sits at
         least eta/2 below d_in(v).  A fresh Hop probes all of In(v) in
-        attach order; a lazy one probes the next few edges of the
-        cursor order through the inform step, so every probed edge is
+        attach order; a lazy one probes the next few groups of the
+        cursor order through the inform step, so every probed group is
         also informed of v's current load and probe passes never starve
         the round-robin inform schedule.  The violation test uses true
         loads.
@@ -291,12 +292,12 @@ class Hop:
         return best_h
 
     def _tight_out_edge(self, v: int) -> Optional[int]:
-        """Peek the max-mirror-key edge of Out(v); lazily drops stale entries.
+        """Peek the max-mirror-key group of Out(v); lazily drops stale entries.
 
-        Edges whose key changed since their last push sit in the dirty
-        set and get (re)pushed here, so informs stay O(1) per observer.
+        Returns that group's oldest edge.  Groups whose key changed since
+        their last push sit in the dirty set and get (re)pushed here, so
+        informs stay O(1) per observer.
         """
-        out = self._out[v]
         if self._fresh:
             # mirrors are definitionally current: argmax over true loads,
             # the latest entry of Out(v) winning a tie
@@ -304,7 +305,7 @@ class Hop:
             deg = self._degs.deg
             best_h = None
             best = -1
-            for h in out:
+            for h in self._out[v]:
                 k = deg[head[h]]
                 if k >= best:
                     best, best_h = k, h
@@ -315,62 +316,61 @@ class Hop:
         dirty = self._dirty[v]
         mir = self._mir
         if dirty:
-            for h in dirty:
-                if h in out:
-                    heapq.heappush(heap, (-mir[h], h))
+            for key in dirty:
+                if key in mir:
+                    heapq.heappush(heap, (-mir[key], key))
             dirty.clear()
             self._maybe_compact(v)
             heap = self._heap[v]
         while heap:
-            negkey, h = heap[0]
-            if h not in out:
-                heapq.heappop(heap)
-                continue
-            cur = mir[h]
-            if -negkey != cur:
+            negkey, key = heap[0]
+            cur = mir.get(key)
+            if cur is None or -negkey != cur:
                 heapq.heappop(heap)
                 continue
             if cur >= self._degs.deg[v] + self.eta / 2.0:
-                return h
+                head, verts = key
+                return next(iter(self._in[head][verts]))
             return None
         return None
 
     def _inform(self, v: int, count: int, limit: float = -1.0) -> Optional[int]:
-        """Tell the members of the next `count` In(v) edges v's load.
+        """Tell the members of the next `count` In(v) groups v's load.
 
-        Each informed edge moves to the end of the cursor order, takes
+        Each informed group moves to the end of the cursor order, takes
         d_in(v) as its mirror and is marked dirty at its other members.
-        Stops at, and returns, the first informed edge with another
-        member whose load is at most `limit` (by default none can be).
+        Stops at the first informed group with another member whose load
+        is at most `limit` (by default none can be) and returns its oldest
+        edge.
         """
         deg = self._degs.deg
         deg_v = deg[v]
-        rr = self._in[v]
+        groups = self._in[v]
         mir = self._mir
         dirty = self._dirty
-        verts_map = self._verts
-        move_to_end = rr.move_to_end
-        # count <= len(In(v)), so the first `count` keys, taken before any
-        # move, are the ones that reach the front one after another
-        for h in list(itertools.islice(rr, count)):
-            move_to_end(h)
-            mir[h] = deg_v
+        # count <= the number of groups, so the first `count` keys, taken
+        # before any move, are the ones that reach the front one after another
+        for verts in list(itertools.islice(groups, count)):
+            group = groups[verts] = groups.pop(verts)
+            key = (v, verts)
+            mir[key] = deg_v
             tight = False
-            for u in verts_map[h]:
+            for u in verts:
                 if u != v:
-                    dirty[u].add(h)
+                    dirty[u].add(key)
                     if deg[u] <= limit:
                         tight = True
             if tight:
-                return h
+                return next(iter(group))
         return None
 
     def _maybe_compact(self, v: int) -> None:
         heap = self._heap[v]
         out = self._out[v]
         if len(heap) > 4 * len(out) + 16:
-            mir = self._mir
-            self._heap[v] = [(-mir[h], h) for h in out]
+            mir, head, verts = self._mir, self._head, self._verts
+            keys = {(head[h], verts[h]) for h in out}
+            self._heap[v] = [(-mir[key], key) for key in keys]
             heapq.heapify(self._heap[v])
             self._dirty[v].clear()
 
@@ -471,7 +471,7 @@ class Hop:
         bound = self.eta / 4.0 + 1e-9
         for h, verts in self._verts.items():
             v = self._head[h]
-            believed = self._mir[h]
+            believed = self._mir[(v, verts)]
             if len(verts) > 1 and abs(deg[v] - believed) > bound:
                 raise AssertionError(
                     f"stale mirror on edge {h}: true d_in({v})={deg[v]}, "
@@ -481,37 +481,35 @@ class Hop:
     def check_consistency(self) -> None:
         """Membership and degree bookkeeping agree with a fresh rebuild.
 
-        A fresh In(v) must hold no empty group, file each edge headed at v
-        under its own vertex set, and number each group's edges in
-        increasing attach order.
+        In(v) must hold no empty group, file each edge headed at v under
+        its own vertex set, and number each group's edges in increasing
+        attach order.  A lazy Hop keeps one mirror per live group.
         """
         counts = [0] * self.n
         for h, verts in self._verts.items():
             v = self._head[h]
             assert v in verts, f"head of {h} not a member"
             counts[v] += 1
-            in_v = self._in[v].get(verts, ()) if self._fresh else self._in[v]
-            assert h in in_v, f"edge {h} missing from In({v})"
+            assert h in self._in[v].get(verts, ()), f"edge {h} missing from In({v})"
             for u in verts:
                 if u != v:
                     assert h in self._out[u], f"edge {h} missing from Out({u})"
         assert counts == self._degs.deg, "in-degree counters diverged"
         assert sum(counts) == len(self._verts)
         for v in range(self.n):
-            if self._fresh:
-                groups = self._in[v]
-                assert sum(map(len, groups.values())) == counts[v]
-                for key, group in groups.items():
-                    assert group, f"empty group {key} in In({v})"
-                    for h in group:
-                        assert self._verts[h] == key and self._head[h] == v, (
-                            f"edge {h} filed under {key} in In({v})"
-                        )
-                    seqs = list(group.values())
-                    assert all(a < b for a, b in zip(seqs, seqs[1:])), (
-                        f"group {key} in In({v}) out of attach order"
+            groups = self._in[v]
+            assert sum(map(len, groups.values())) == counts[v]
+            for key, group in groups.items():
+                assert group, f"empty group {key} in In({v})"
+                for h in group:
+                    assert self._verts[h] == key and self._head[h] == v, (
+                        f"edge {h} filed under {key} in In({v})"
                     )
-            else:
-                assert len(self._in[v]) == counts[v]
+                seqs = list(group.values())
+                assert all(a < b for a, b in zip(seqs, seqs[1:])), (
+                    f"group {key} in In({v}) out of attach order"
+                )
             for h in self._out[v]:
                 assert h in self._verts and self._head[h] != v
+        live = set() if self._fresh else {(v, vs) for v, gs in enumerate(self._in) for vs in gs}
+        assert set(self._mir) == live, "mirrors diverged from the live groups"

@@ -185,7 +185,8 @@ def test_random_mixed_sequences_keep_invariants(eta_override):
 @pytest.mark.parametrize("eta_override", [1.0, 3.9, 4.0, 6.0])
 def test_mirrors_exist_only_in_lazy_regime(eta_override):
     # below eta 4 probes cover In(v), so no mirror, heap or dirty entry is
-    # ever written; from eta 4 on every live edge carries its mirrors
+    # ever written; from eta 4 on every live (head, vertex set) group
+    # carries one mirror, shared by its parallel copies
     rng = random.Random(5)
     h = Hop(8, 0.4, 32.0, eta_override=eta_override)
     assert h._fresh == (eta_override < 4.0)
@@ -202,19 +203,19 @@ def test_mirrors_exist_only_in_lazy_regime(eta_override):
         if h._fresh:
             assert not h._mir and not any(h._heap) and not any(h._dirty)
         else:
-            assert set(h._mir) == set(live)
+            assert set(h._mir) == {(h.head_of(k), h._verts[k]) for k in live}
     assert rotations > 0 and deletes > 0
 
 
 # sha256 over every step's (head of each live edge, last_rotations), captured
 # when Out(v) began to keep entry order (1.0, 2.3: the fresh delete chain's
-# ties go to the latest entry) and before the lazy In(v) became an ordered
-# dict (4.0, 6.0)
+# ties go to the latest entry) and when the lazy In(v) was grouped by
+# vertex set (4.0, 6.0: one mirror, inform step and heap entry per group)
 BURST_DIGESTS = {
     1.0: "370ad060d48a455764acd02e1e2c76377bbcbab67e4517ee302cb2fadd99c9a4",
     2.3: "5d242e0f7ee1fd995db26b9f6725edbb4e6d69e20aecac06ddcfda7af8d3149e",
-    4.0: "fd0ab06f47247151df949fa15b049df99224bb07b5244d2252ef0812133ec974",
-    6.0: "fbd8db9b1a5cff8f54c4b36750a208fa54d9f4160b5f63041bf8f668163902e0",
+    4.0: "24fa357c9075cf12f9448d5d2b05f84612789a693d03756951b6ce831f56e0e0",
+    6.0: "1681e2bdb834c4bcfea1a7cdf74eb5fac9aa55e6be3400f6541072d1fc2f473f",
 }
 
 
@@ -222,7 +223,11 @@ BURST_DIGESTS = {
 def test_repeated_vertex_set_bursts_are_pinned(eta_override):
     # bursts of 5-20 copies of a few vertex sets, as Udshp's duplication
     # makes them, with bursts of deletes; heads and chain lengths must not
-    # depend on how In(v) is stored, in either regime
+    # depend on how In(v) is stored, in either regime.  Repeated sets are
+    # the only path where a lazy edge joins a live group and its mirror,
+    # so the invariants are checked after every step.  Grouped, eta 6.0
+    # made 263 rotations in 120 rounds (307 edge by edge), so the lazy runs
+    # are longer to keep the rotation floor.
     rng = random.Random(int(eta_override * 100))
     n = 8
     h = Hop(n, 0.4, 64.0, eta_override=eta_override)
@@ -236,8 +241,9 @@ def test_repeated_vertex_set_bursts_are_pinned(eta_override):
         nonlocal rotations
         rotations += h.last_rotations
         digest.update(repr(([h.head_of(k) for k in live], h.last_rotations)).encode())
+        check_all(h)
 
-    for _ in range(120):
+    for _ in range(120 if h._fresh else 160):
         if len(live) > 40 and rng.random() < 0.45:
             for _ in range(rng.randint(1, 15)):
                 if not live:
@@ -252,7 +258,6 @@ def test_repeated_vertex_set_bursts_are_pinned(eta_override):
                 live.append(next_handle)
                 next_handle += 1
                 step()
-    check_all(h)
     assert rotations > 300 and deletes > 300
     assert digest.hexdigest() == BURST_DIGESTS[eta_override]
 
