@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dup-constant", type=float, default=DUPLICATION_CONSTANT,
                    metavar="F",
                    help="duplication constant (default: %(default)s, the analysis value)")
-    p.add_argument("--w-star", type=float, default=1.0, metavar="F",
-                   help="promised lower bound on max edge multiplicity")
     p.add_argument("--oracle-limit", type=int,
                    default=DEFAULT_ORACLE_SUPPORT_LIMIT, metavar="N",
                    help="max live support for exact-density columns")
@@ -106,7 +104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             rank=args.rank,
             no_timing=args.no_timing,
             oracle_support_limit=args.oracle_limit,
-            w_star=args.w_star,
             dup_constant=args.dup_constant,
         )
         config.validate()

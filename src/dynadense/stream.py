@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import time
 from collections import deque
@@ -57,7 +58,6 @@ class RunConfig:
     no_timing: bool = False
     # desk-scale knobs
     oracle_support_limit: int = DEFAULT_ORACLE_SUPPORT_LIMIT
-    w_star: float = 1.0
     dup_constant: float = DUPLICATION_CONSTANT
 
     def validate(self) -> None:
@@ -84,6 +84,8 @@ class RunConfig:
                 raise ConfigError(f"bad uniform weight range [{lo}, {hi}]")
         if self.rank is not None and self.rank < 1:
             raise ConfigError("rank bound must be positive")
+        if not (math.isfinite(self.dup_constant) and self.dup_constant >= 0):  # 0: dup 1
+            raise ConfigError(f"dup constant must be finite and >= 0, got {self.dup_constant}")
 
 
 @dataclass
@@ -158,7 +160,6 @@ class _Driver:
                 m_bound=max(m_bound * max(w_max, 1), 1),
                 r=r,
                 epsilon=config.epsilon,
-                w_star=config.w_star,
                 dup_constant=config.dup_constant,
             )
         elif self.algo == "wdshp":

@@ -245,6 +245,14 @@ MINI_GOLDEN = {
         b"2002,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n"
         b"2003,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n",
     ),
+    # the analysis constants: dup 7353, the four top copies lazy (eta >= 4)
+    "udshp-default": (
+        ["--algo", "udshp"],
+        _CSV_HEADER
+        + b"2001,0.637644,0.750000,14.980733,4,3,0.000000,0.000000\r\n"
+        b"2002,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n"
+        b"2003,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n",
+    ),
     "wdshp": (
         ["--algo", "wdshp", "--mode", "window", "--window", "2",
          "--weights", "uniform:1:4:3", "--dup-constant", "0.2"],
@@ -263,3 +271,25 @@ def test_cli_mini_fixture_report_is_pinned(algo, tmp_path):
             "--no-timing", "--out", str(tmp_path), *flags]
     assert cli.main(argv) == 0
     assert (tmp_path / "report.csv").read_bytes() == want
+
+
+def test_cli_missing_input_exits_2(tmp_path, capsys):
+    argv = ["--input", str(tmp_path / "absent"), "--format", "benson",
+            "--algo", "greedy", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dup-constant", "-1"],
+    ["--dup-constant", "nan"],
+    ["--dup-constant", "inf"],
+    ["--epsilon", "1.5"],
+])
+def test_cli_bad_constant_exits_3(flags, tmp_path, capsys):
+    argv = ["--input", str(FIXTURES / "mini"), "--format", "benson",
+            "--algo", "udshp", "--out", str(tmp_path / "out"), *flags]
+    assert cli.main(argv) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
