@@ -102,7 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             dedupe_edges=args.dedupe_edges,
             rank=args.rank,
-            no_timing=args.no_timing,
             oracle_support_limit=args.oracle_limit,
             dup_constant=args.dup_constant,
         )

@@ -1,10 +1,11 @@
 """Dynamic hypergraph orientation with bounded head slack (HOP).
 
-Maintains, for a fixed load estimate d_tilde, an assignment of one head
-vertex per hyperedge such that the head's in-degree never exceeds any
-member's in-degree by more than the slack eta.  Inserts and deletes
-trigger chains of head rotations; stale knowledge of neighbor loads is
-refreshed lazily, a few groups per update, round-robin.
+Maintains an assignment of one head vertex per hyperedge such that the
+head's in-degree never exceeds any member's in-degree by more than the
+slack eta.  The caller sets eta (the ensemble derives it from the load
+guess a copy serves); the Hop keeps no slack formula.  Inserts and
+deletes trigger chains of head rotations; stale knowledge of neighbor
+loads is refreshed lazily, a few groups per update, round-robin.
 
 Supporting structures per vertex:
 
@@ -88,37 +89,23 @@ class _DegreeBuckets:
 
 
 class Hop:
-    """Orientation maintainer for one load-estimate guess d_tilde.
+    """Orientation maintainer with slack eta, set by the caller.
 
-    d_tilde only sets the default eta and is not kept, so Hops with equal
-    eta behave alike whatever guess they were built for.
-
-    eta defaults to epsilon^2 * d_tilde / (32 log2 n); callers that need
-    integral loads below that formula's validity range (or tests pinning
-    exact slack) pass eta_override.  Inserting requires eta >= 1.
+    A Hop's state depends only on eta and its operations, so Hops with
+    equal eta behave alike whatever load guess they serve.  eta must be
+    positive; inserting requires eta >= 1, since loads are integers.
     """
 
-    def __init__(
-        self,
-        n: int,
-        epsilon: float,
-        d_tilde: float,
-        eta_override: Optional[float] = None,
-    ) -> None:
+    def __init__(self, n: int, epsilon: float, eta: float) -> None:
         if n <= 0:
             raise ValueError("vertex count must be positive")
         if not 0 < epsilon < 1:
             raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-        if d_tilde <= 0:
-            raise ValueError("d_tilde must be positive")
+        if not eta > 0:
+            raise ValueError(f"eta must be positive, got {eta}")
         self.n = n
         self.epsilon = epsilon
-        if eta_override is not None:
-            if eta_override <= 0:
-                raise ValueError("eta_override must be positive")
-            self.eta = float(eta_override)
-        else:
-            self.eta = epsilon * epsilon * d_tilde / (32.0 * log2c(n))
+        self.eta = float(eta)
 
         self._verts: Dict[int, EdgeVerts] = {}
         self._head: Dict[int, int] = {}
@@ -173,9 +160,6 @@ class Hop:
     def __len__(self) -> int:
         return len(self._verts)
 
-    def __contains__(self, handle: int) -> bool:
-        return handle in self._verts
-
     def head_of(self, handle: int) -> int:
         return self._head[handle]
 
@@ -203,10 +187,7 @@ class Hop:
         return best
 
     def _probe_count(self, v: int) -> int:
-        d = self._degs.deg[v]
-        if d == 0:
-            return 0
-        return min(len(self._in[v]), math.ceil(4.0 * d / self.eta))
+        return min(len(self._in[v]), math.ceil(4.0 * self._degs.deg[v] / self.eta))
 
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
         """File edge under `head` in its vertex set's group.
@@ -377,16 +358,14 @@ class Hop:
     def _shift(self, v: int, delta: int) -> None:
         self._degs.shift(v, delta)
         if not self._fresh:
-            d = max(self._degs.deg[v], 1)
-            self._inform(v, min(len(self._in[v]), math.ceil(4.0 * d / self.eta)))
+            self._inform(v, self._probe_count(v))
 
     # -- public operations ---------------------------------------------
 
     def insert(self, handle: int, verts: EdgeVerts) -> None:
         if self.eta < 1.0:
             raise ValueError(
-                f"eta={self.eta:.4g} < 1: integral loads need more slack "
-                "(duplicate edges or pass eta_override)"
+                f"eta={self.eta:.4g} < 1: integral loads need more slack"
             )
         if handle in self._verts:
             raise ValueError(f"duplicate edge handle {handle}")
@@ -402,11 +381,12 @@ class Hop:
             self._rotate(f, v)
         self._shift(v, +1)
 
-    def delete(self, handle: int) -> None:
+    def delete(self, handle: int) -> int:
+        """Remove an edge; returns the head it had, where capacity was freed."""
         if handle not in self._verts:
             raise ValueError(f"unknown edge handle {handle}")
         self.last_rotations = 0
-        v = self._head[handle]
+        head = v = self._head[handle]
         self._detach(handle)
         del self._verts[handle]
         while True:
@@ -419,6 +399,7 @@ class Hop:
         if self._degs.deg[v] < 1:
             raise AssertionError(f"decrement of vertex {v} at in-degree 0")
         self._shift(v, -1)
+        return head
 
     # -- queries -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
-from .model import WeightedHypergraph, density
+from .model import WeightedHypergraph
 
 MAX_SUPPORT = 24
 

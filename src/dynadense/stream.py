@@ -55,7 +55,6 @@ class RunConfig:
     seed: int = 0
     dedupe_edges: bool = False
     rank: Optional[int] = None
-    no_timing: bool = False
     # desk-scale knobs
     oracle_support_limit: int = DEFAULT_ORACLE_SUPPORT_LIMIT
     dup_constant: float = DUPLICATION_CONSTANT
@@ -154,24 +153,29 @@ class _Driver:
         self.mirror = WeightedHypergraph(n, r)
         self.algo = config.algo
         self._struct: Optional[Udshp | Wdshp] = None
-        if self.algo == "udshp":
-            self._struct = Udshp(
-                n,
-                m_bound=max(m_bound * max(w_max, 1), 1),
-                r=r,
-                epsilon=config.epsilon,
-                dup_constant=config.dup_constant,
-            )
-        elif self.algo == "wdshp":
-            self._struct = Wdshp(
-                n,
-                m_bound=max(m_bound, 1),
-                r=r,
-                delta=config.delta,
-                w_max=max(w_max, 1),
-                seed=config.seed,
-                dup_constant=config.dup_constant,
-            )
+        try:
+            if self.algo == "udshp":
+                self._struct = Udshp(
+                    n,
+                    m_bound=max(m_bound * max(w_max, 1), 1),
+                    r=r,
+                    epsilon=config.epsilon,
+                    dup_constant=config.dup_constant,
+                )
+            elif self.algo == "wdshp":
+                self._struct = Wdshp(
+                    n,
+                    m_bound=max(m_bound, 1),
+                    r=r,
+                    delta=config.delta,
+                    w_max=max(w_max, 1),
+                    seed=config.seed,
+                    dup_constant=config.dup_constant,
+                )
+        except ValueError as exc:
+            # parameters that pass validate() alone, such as a duplication
+            # constant whose factor overflows for this n, r and epsilon
+            raise ConfigError(str(exc)) from exc
 
     def insert(self, verts: Tuple[int, ...], weight: int) -> Tuple[int, object]:
         """Insert into the mirror and the structure; returns both handles."""

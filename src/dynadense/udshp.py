@@ -1,22 +1,24 @@
 """Ensemble of HOP copies answering unweighted densest-subset queries.
 
 Keeps one HOP instance per power-of-two guess of the maximum load, an
-active index bracketing the true maximum, and per-copy pending lists
-for edges withheld from overloaded low-guess copies.  Each logical edge
+active index bracketing the true maximum, and per-copy indexes of the
+edges withheld from overloaded low-guess copies.  Each logical edge
 is duplicated a configured number of times so the active copy operates
 in the regime where its slack is at least 1.
 
-Each fact lives in one place: a copy's Hop records which internal
-handles the copy holds, its pending list which ones it withholds, and
-the public table maps a handle to its vertex set and the contiguous
-range of internal handles behind it.  Only copies below the active index
-withhold edges, so the top copy holds every live internal handle.
+Each fact lives in one place: the public table maps a handle to its
+vertex set and the contiguous range of internal handles behind it, and
+a copy's Hop records which internal handles the copy holds.  A copy
+withholds exactly the live internal handles its Hop lacks.  Only copies
+below the active index withhold edges, so the top copy holds every live
+internal handle.
 
-Beside each pending list sits an index derived from it: per vertex, the
-pending handles containing that vertex, in withhold order, with no empty
-bucket.  A delete that frees capacity at a head vertex swaps in the first
-handle of that vertex's bucket, which is the first pending edge
-containing the head, without scanning the list.
+Each copy indexes its withheld edges by vertex: per vertex, the withheld
+handles containing it, each with its vertex set, in withhold order, with
+no empty bucket.  Withhold order is handle order, since a handle is
+withheld only while it is being inserted.  A delete that frees capacity
+at a head vertex swaps in the first handle of that vertex's bucket,
+which is the first withheld edge containing the head, without a scan.
 
 Copies whose slack is equal (the clamped low guesses, slack 1) share one
 Hop object, so one insert or delete serves them all.  Sharing is exact:
@@ -70,10 +72,10 @@ class Udshp:
         self.m_bound = m_bound
         self.r = r
         self.epsilon = epsilon
-        self.w_star = w_star
-        self.dup = max(
-            math.ceil(dup_constant * r * log2c(n) / (epsilon * epsilon * w_star)), 1
-        )
+        dup = dup_constant * r * log2c(n) / (epsilon * epsilon * w_star)
+        if not math.isfinite(dup):
+            raise ValueError(f"duplication factor {dup} is not finite")
+        self.dup = max(math.ceil(dup), 1)
         self.num_copies = max(math.ceil(math.log2(m_bound * self.dup)), 1)
         self.slack_constant = slack_constant
         # copies with equal slack share one Hop until one of them forks
@@ -82,14 +84,12 @@ class Udshp:
         for i in range(1, self.num_copies + 1):
             eta = self._slack(i)
             if hop is None or hop.eta != eta:
-                hop = Hop(n, epsilon, self.d_tilde(i), eta_override=eta)
+                hop = Hop(n, epsilon, eta)
             self.copies[i] = hop
         self.active = 0
-        # per copy: FIFO pending handles withheld from that copy
-        self._pending: Dict[int, Dict[int, EdgeVerts]] = {i: {} for i in self.copies}
-        # per copy: vertex -> {pending handle containing it: None}, in
-        # withhold order; maintained wherever _pending changes
-        self._pending_at: Dict[int, Dict[int, Dict[int, None]]] = {
+        # per copy: vertex -> {withheld handle containing it: its vertex
+        # set}, in withhold order
+        self._pending_at: Dict[int, Dict[int, Dict[int, EdgeVerts]]] = {
             i: {} for i in self.copies
         }
         # public handle -> (vertex set, its internal handles)
@@ -160,50 +160,47 @@ class Udshp:
                     # the lowest member of a shared run withholds first:
                     # fork it off with the state the run has so far
                     copies[j] = copy.clone()
-                self._pending[j][handle] = verts
                 index = self._pending_at[j]
                 for v in verts:
                     bucket = index.get(v)
                     if bucket is None:
-                        index[v] = {handle: None}
+                        index[v] = {handle: verts}
                     else:
-                        bucket[handle] = None
+                        bucket[handle] = verts
             else:
                 copy.insert(handle, verts)
                 inserted = copy
 
-    def _unpend(self, j: int, handle: int) -> EdgeVerts:
-        """Drop a pending handle from copy j's list and index; return its set."""
-        verts = self._pending[j].pop(handle)
+    def _unpend(self, j: int, handle: int, verts: EdgeVerts) -> None:
+        """Drop a withheld handle from copy j's index."""
         index = self._pending_at[j]
         for v in verts:
             bucket = index[v]
             del bucket[handle]
             if not bucket:
                 del index[v]
-        return verts
 
-    def _delete_internal(self, handle: int) -> None:
+    def _delete_internal(self, handle: int, verts: EdgeVerts) -> None:
         self._retreat_active()
         active = self.active
         deleted = None
         for j, copy in self.copies.items():
-            if handle in self._pending[j]:
-                self._unpend(j, handle)
+            if handle in self._pending_at[j].get(verts[0], ()):
+                self._unpend(j, handle, verts)
                 continue
             if copy is deleted:
                 continue  # a shared Hop, already done; shared copies withhold nothing
-            head = copy.head_of(handle)
-            copy.delete(handle)
+            head = copy.delete(handle)
             deleted = copy
             if j > active:
                 continue
             # deleting freed capacity at this copy's head vertex: pull in the
-            # first pending edge containing that head, if any
+            # first withheld edge containing that head, if any
             bucket = self._pending_at[j].get(head)
             if bucket is not None:
-                swap = next(iter(bucket))
-                copy.insert(swap, self._unpend(j, swap))
+                swap, swap_verts = next(iter(bucket.items()))
+                self._unpend(j, swap, swap_verts)
+                copy.insert(swap, swap_verts)
 
     # -- public operations ---------------------------------------------
 
@@ -230,9 +227,9 @@ class Udshp:
     def delete(self, handle: int) -> None:
         if handle not in self._public:
             raise ValueError(f"unknown edge handle {handle}")
-        _, internals = self._public.pop(handle)
+        verts, internals = self._public.pop(handle)
         for ih in internals:
-            self._delete_internal(ih)
+            self._delete_internal(ih, verts)
 
     def max_density(self) -> float:
         """Current (1+eps)-approximate max density of the logical multiset."""
@@ -248,40 +245,37 @@ class Udshp:
     # -- invariant checks (test support) -------------------------------
 
     def check_wrapper_invariants(self, strict_above_active: bool = True) -> None:
-        """Inserted/pending bookkeeping must partition the live edge set.
+        """Each copy's Hop and pending index must partition the live edges.
 
-        Each copy's pending index must list, per vertex, exactly the pending
-        handles containing it in pending-list order, with no empty bucket.
-        Each copy's Hop must have the copy's slack, and copies sharing a
-        Hop must be contiguous and withhold nothing.
-        With strict_above_active, copies above the active index must hold
-        every live edge with nothing pending; that holds whenever the
-        active index has never retreated past a copy with pending edges
-        (e.g. insertion-only runs).
+        A copy's Hop must hold only live internal handles, and its pending
+        index must list, per vertex, exactly the live handles the Hop lacks
+        that contain the vertex, each with its vertex set, in handle order,
+        with no empty bucket.  Each copy's Hop must have the copy's slack,
+        and copies sharing a Hop must be contiguous and withhold nothing.
+        With strict_above_active, copies above the active index must
+        withhold nothing; that holds whenever the active index has never
+        retreated past a copy with pending edges (e.g. insertion-only runs).
         """
-        live = {ih for _, internals in self._public.values() for ih in internals}
+        live = {
+            ih: verts for verts, internals in self._public.values() for ih in internals
+        }
         copies = self.copies
         runs = [copy for j, copy in copies.items() if copies.get(j - 1) is not copy]
         assert len(set(map(id, runs))) == len(runs), "shared Hop not contiguous"
         for j, copy in copies.items():
             assert copy.eta == self._slack(j), f"copy {j}: slack {copy.eta}"
+            index = self._pending_at[j]
             if copy is copies.get(j - 1) or copy is copies.get(j + 1):
-                assert not self._pending[j] and not self._pending_at[j], (
-                    f"copy {j} shares its Hop but withholds edges"
-                )
+                assert not index, f"copy {j} shares its Hop but withholds edges"
             inserted = {h for h, _ in copy.edges()}
-            pending = set(self._pending[j])
-            assert not (inserted & pending), f"copy {j}: handle both live and pending"
-            assert inserted | pending == live, (
-                f"copy {j}: inserted+pending diverged from live set"
-            )
-            expected: Dict[int, List[int]] = {}
-            for h, verts in self._pending[j].items():
-                for v in verts:
-                    expected.setdefault(v, []).append(h)
-            index = {v: list(bucket) for v, bucket in self._pending_at[j].items()}
-            assert index == expected, f"copy {j}: pending index diverged from list"
+            assert inserted <= live.keys(), f"copy {j}: Hop holds a dead handle"
+            expected: Dict[int, List[Tuple[int, EdgeVerts]]] = {}
+            for h in sorted(live.keys() - inserted):
+                for v in live[h]:
+                    expected.setdefault(v, []).append((h, live[h]))
+            actual = {v: list(bucket.items()) for v, bucket in index.items()}
+            assert actual == expected, f"copy {j}: pending index diverged"
             if strict_above_active and j > self.active:
-                assert not pending, (
+                assert not expected, (
                     f"copy {j} above active={self.active} must hold all live edges"
                 )

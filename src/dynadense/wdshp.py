@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .model import EdgeVerts, canonical_edge, log2c
+from .model import canonical_edge, log2c
 from .udshp import DUPLICATION_CONSTANT, Udshp
 
 
@@ -122,9 +122,9 @@ class Wdshp:
                 shared = ensemble
             self.ensembles.append(ensemble)
             self._distinct.append((i, ensemble))
-        # per public handle: weight and, per distinct ensemble, the inner
-        # handle of the copies drawn (None when the draw was 0)
-        self._registry: Dict[int, Tuple[EdgeVerts, int, List[Optional[int]]]] = {}
+        # per public handle and distinct ensemble: the inner handle of the
+        # copies drawn (None when the draw was 0)
+        self._registry: Dict[int, List[Optional[int]]] = {}
         self._next_handle = 0
         # (selected guess, ensembles[0]'s density) for the current input;
         # every update clears it
@@ -177,13 +177,13 @@ class Wdshp:
             per_ensemble.append(ensemble.insert(verts, s) if s else None)
         handle = self._next_handle
         self._next_handle += 1
-        self._registry[handle] = (verts, weight, per_ensemble)
+        self._registry[handle] = per_ensemble
         return handle
 
     def delete(self, handle: int) -> None:
         if handle not in self._registry:
             raise ValueError(f"unknown edge handle {handle}")
-        _, _, per_ensemble = self._registry.pop(handle)
+        per_ensemble = self._registry.pop(handle)
         self._selection = None
         for (_, ensemble), inner in zip(self._distinct, per_ensemble):
             if inner is not None:

@@ -44,7 +44,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 def _formula_hop(n: int, epsilon: float, d_tilde: float) -> Hop:
     eta = epsilon * epsilon * d_tilde / (32.0 * log2c(n))
-    return Hop(n, epsilon, d_tilde, eta_override=max(eta, 1.0))
+    return Hop(n, epsilon, max(eta, 1.0))
 
 
 @functools.lru_cache(maxsize=1)
@@ -100,7 +100,7 @@ def _lazy_staleness_run():
     """2*10^4 mixed operations at fixed slack 8 (lazy mirror regime)."""
     n, r = 200, 5
     rng = random.Random(11)
-    hop = Hop(n, 0.5, 64.0, eta_override=8.0)
+    hop = Hop(n, 0.5, 8.0)
     assert not hop._fresh  # the run must exercise the lazy inform path
     handles: list[int] = []
     next_h = 0
@@ -158,7 +158,7 @@ def test_criterion_2_staleness_bound():
 def test_criterion_3_chain_length_bound():
     n, eta = 50, 2.0
     rng = random.Random(13)
-    hop = Hop(n, 0.5, 64.0, eta_override=eta)
+    hop = Hop(n, 0.5, eta)
     worst_margin = -math.inf
     bad = 0
     for i in range(10_000):
@@ -279,7 +279,7 @@ def _assert_udshp_empty(u: Udshp) -> None:
     assert not u._public
     for j, copy in u.copies.items():
         assert len(copy) == 0, f"copy {j} not empty"
-        assert not u._pending[j]
+        assert not u._pending_at[j]
         _assert_hop_empty(copy)
     u.check_wrapper_invariants()
 
@@ -297,7 +297,7 @@ def test_criterion_6_reversibility():
         kind = trial % 4
         if kind == 0 or kind == 1:
             eta = 1.5 if kind == 0 else 6.0
-            hop = Hop(12, 0.4, 8.0, eta_override=eta)
+            hop = Hop(12, 0.4, eta)
             handles = []
             for h in range(rng.randint(5, 30)):
                 hop.insert(h, tuple(sorted(rng.sample(range(12), rng.randint(2, 4)))))

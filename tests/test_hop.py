@@ -31,13 +31,13 @@ class TestDegreeBuckets:
 
 class TestInsert:
     def test_first_edge_head_is_smallest_id(self):
-        h = Hop(2, 0.5, 4.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         h.insert(0, (0, 1))
         assert h.head_of(0) == 0
         assert (h.d_in(0), h.d_in(1)) == (1, 0)
 
     def test_second_copy_balances(self):
-        h = Hop(2, 0.5, 4.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         h.insert(0, (0, 1))
         h.insert(1, (0, 1))
         assert h.head_of(1) == 1
@@ -46,7 +46,7 @@ class TestInsert:
     def test_no_chain_within_slack(self):
         # d_in=(2,1) from three {0,1} edges; a fourth heads at 1 with no
         # rotations because 2 <= 1 + eta
-        h = Hop(2, 0.5, 4.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         for k in range(3):
             h.insert(k, (0, 1))
         assert (h.d_in(0), h.d_in(1)) == (2, 1)
@@ -55,13 +55,18 @@ class TestInsert:
         assert h.last_rotations == 0
 
     def test_requires_unit_slack(self):
-        h = Hop(64, 0.3, 1.0)  # formula eta is far below 1
+        h = Hop(64, 0.3, 0.5)
         assert h.eta < 1
         with pytest.raises(ValueError):
             h.insert(0, (0, 1))
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_rejects_nonpositive_slack(self, eta):
+        with pytest.raises(ValueError):
+            Hop(4, 0.5, eta)
+
     def test_duplicate_handle_rejected(self):
-        h = Hop(3, 0.5, 4.0, eta_override=2.0)
+        h = Hop(3, 0.5, 2.0)
         h.insert(0, (0, 1))
         with pytest.raises(ValueError):
             h.insert(0, (1, 2))
@@ -69,7 +74,7 @@ class TestInsert:
 
 class TestDelete:
     def test_single_edge_round_trip(self):
-        h = Hop(2, 0.5, 4.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         h.insert(0, (0, 1))
         h.delete(0)
         assert len(h) == 0
@@ -77,24 +82,25 @@ class TestDelete:
 
     def test_copies_any_order(self):
         rng = random.Random(4)
-        h = Hop(2, 0.5, 8.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         ks = list(range(9))
         for k in ks:
             h.insert(k, (0, 1))
         rng.shuffle(ks)
         for k in ks:
-            h.delete(k)
+            head = h.head_of(k)
+            assert h.delete(k) == head  # the head whose edge left
         assert h.max_in_degree() == 0
 
     def test_unknown_handle_rejected(self):
-        h = Hop(2, 0.5, 4.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         with pytest.raises(ValueError):
             h.delete(13)
 
 
 class TestRotate:
     def test_bookkeeping(self):
-        h = Hop(3, 0.5, 4.0, eta_override=2.0)
+        h = Hop(3, 0.5, 2.0)
         h.insert(0, (0, 1, 2))
         assert h.head_of(0) == 0
         before = sum(h.d_in(v) for v in range(3))
@@ -110,14 +116,14 @@ class TestRotate:
 
 class TestTightEdges:
     def test_tight_in_nothing_to_scan(self):
-        h = Hop(3, 0.5, 4.0, eta_override=2.0)
+        h = Hop(3, 0.5, 2.0)
         assert h._tight_in_edge(0) is None
 
     @staticmethod
     def _skewed_state():
         # hand-built orientation the public chain would never leave in
         # place: d_in(0)=5 from four rank-1 edges plus edge 10={0,3}
-        h = Hop(4, 0.5, 8.0, eta_override=2.0)
+        h = Hop(4, 0.5, 2.0)
         for k in range(4):
             h._verts[k] = (0,)
             h._attach(k, (0,), 0)
@@ -133,7 +139,7 @@ class TestTightEdges:
         assert h._tight_in_edge(0) == 10
 
     def test_tight_out_empty(self):
-        h = Hop(3, 0.5, 4.0, eta_override=2.0)
+        h = Hop(3, 0.5, 2.0)
         assert h._tight_out_edge(0) is None
 
     def test_tight_out_threshold(self):
@@ -141,7 +147,7 @@ class TestTightEdges:
         # Out(3) holds edge 10 keyed by d_in(0)=5 >= d_in(3) + eta/2
         assert h._tight_out_edge(3) == 10
         # balanced pair: key 1 < 1 + eta/2, nothing tight
-        h2 = Hop(2, 0.5, 4.0, eta_override=2.0)
+        h2 = Hop(2, 0.5, 2.0)
         h2.insert(0, (0, 1))
         h2.insert(1, (0, 1))
         assert h2._tight_out_edge(1) is None
@@ -153,13 +159,13 @@ def check_all(h: Hop):
     h.check_consistency()
 
 
-@pytest.mark.parametrize("eta_override", [1.0, 2.0, 4.0, 6.0])
-def test_random_mixed_sequences_keep_invariants(eta_override):
+@pytest.mark.parametrize("eta", [1.0, 2.0, 4.0, 6.0])
+def test_random_mixed_sequences_keep_invariants(eta):
     # eta values on both sides of the always-informs-everything boundary;
     # 4.0 is the smallest slack on the lazy side
-    rng = random.Random(int(eta_override * 10))
+    rng = random.Random(int(eta * 10))
     n, r = 10, 3
-    h = Hop(n, 0.4, 32.0, eta_override=eta_override)
+    h = Hop(n, 0.4, eta)
     live = []
     next_handle = 0
     for step in range(400):
@@ -182,14 +188,14 @@ def test_random_mixed_sequences_keep_invariants(eta_override):
     assert h.max_in_degree() == 0 and len(h) == 0
 
 
-@pytest.mark.parametrize("eta_override", [1.0, 3.9, 4.0, 6.0])
-def test_mirrors_exist_only_in_lazy_regime(eta_override):
+@pytest.mark.parametrize("eta", [1.0, 3.9, 4.0, 6.0])
+def test_mirrors_exist_only_in_lazy_regime(eta):
     # below eta 4 probes cover In(v), so no mirror, heap or dirty entry is
     # ever written; from eta 4 on every live (head, vertex set) group
     # carries one mirror, shared by its parallel copies
     rng = random.Random(5)
-    h = Hop(8, 0.4, 32.0, eta_override=eta_override)
-    assert h._fresh == (eta_override < 4.0)
+    h = Hop(8, 0.4, eta)
+    assert h._fresh == (eta < 4.0)
     live = []
     rotations = deletes = 0
     for k in range(300):
@@ -219,8 +225,8 @@ BURST_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("eta_override", sorted(BURST_DIGESTS))
-def test_repeated_vertex_set_bursts_are_pinned(eta_override):
+@pytest.mark.parametrize("eta", sorted(BURST_DIGESTS))
+def test_repeated_vertex_set_bursts_are_pinned(eta):
     # bursts of 5-20 copies of a few vertex sets, as Udshp's duplication
     # makes them, with bursts of deletes; heads and chain lengths must not
     # depend on how In(v) is stored, in either regime.  Repeated sets are
@@ -228,10 +234,10 @@ def test_repeated_vertex_set_bursts_are_pinned(eta_override):
     # so the invariants are checked after every step.  Grouped, eta 6.0
     # made 263 rotations in 120 rounds (307 edge by edge), so the lazy runs
     # are longer to keep the rotation floor.
-    rng = random.Random(int(eta_override * 100))
+    rng = random.Random(int(eta * 100))
     n = 8
-    h = Hop(n, 0.4, 64.0, eta_override=eta_override)
-    assert h._fresh == (eta_override < 4.0)
+    h = Hop(n, 0.4, eta)
+    assert h._fresh == (eta < 4.0)
     pool = [tuple(sorted(rng.sample(range(n), rng.randint(2, 3)))) for _ in range(16)]
     live = []
     next_handle = rotations = deletes = 0
@@ -259,18 +265,18 @@ def test_repeated_vertex_set_bursts_are_pinned(eta_override):
                 next_handle += 1
                 step()
     assert rotations > 300 and deletes > 300
-    assert digest.hexdigest() == BURST_DIGESTS[eta_override]
+    assert digest.hexdigest() == BURST_DIGESTS[eta]
 
 
-@pytest.mark.parametrize("eta_override", [1.5, 6.0])
-def test_clone_runs_in_lock_step(eta_override):
+@pytest.mark.parametrize("eta", [1.5, 6.0])
+def test_clone_runs_in_lock_step(eta):
     # a clone taken mid-stream answers every later operation as its
     # original does, in the fresh (1.5) and the lazy (6.0) regime, and
     # shares no container with it
-    rng = random.Random(int(eta_override * 10))
+    rng = random.Random(int(eta * 10))
     n = 10
     pool = [tuple(sorted(rng.sample(range(n), rng.randint(2, 3)))) for _ in range(12)]
-    h = Hop(n, 0.4, 64.0, eta_override=eta_override)
+    h = Hop(n, 0.4, eta)
     live = []
     next_handle = 0
 
@@ -316,22 +322,22 @@ def test_clone_runs_in_lock_step(eta_override):
 
 class TestQueries:
     def test_density_empty(self):
-        h = Hop(4, 0.5, 4.0, eta_override=2.0)
+        h = Hop(4, 0.5, 2.0)
         assert h.query_density() == 0.0
 
     def test_density_formula(self):
-        h = Hop(2, 0.5, 8.0, eta_override=2.0)
+        h = Hop(2, 0.5, 2.0)
         for k in range(7):
             h.insert(k, (0, 1))
         assert h.query_density() == h.max_in_degree() * 0.75
 
     def test_subset_empty_rejected(self):
-        h = Hop(4, 0.5, 4.0, eta_override=2.0)
+        h = Hop(4, 0.5, 2.0)
         with pytest.raises(ValueError):
             h.query_subset()
 
     def test_subset_single_cluster(self):
-        h = Hop(4, 0.5, 4.0, eta_override=2.0)
+        h = Hop(4, 0.5, 2.0)
         h.insert(0, (0, 1))
         s = h.query_subset()
         assert s and s <= {0, 1, 2, 3}

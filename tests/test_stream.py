@@ -285,6 +285,9 @@ def test_cli_missing_input_exits_2(tmp_path, capsys):
     ["--dup-constant", "-1"],
     ["--dup-constant", "nan"],
     ["--dup-constant", "inf"],
+    # finite, but the duplication factor it gives overflows a float
+    ["--dup-constant", "1e308"],
+    ["--algo", "wdshp", "--dup-constant", "1e308"],
     ["--epsilon", "1.5"],
 ])
 def test_cli_bad_constant_exits_3(flags, tmp_path, capsys):

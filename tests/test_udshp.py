@@ -11,6 +11,12 @@ from dynadense.oracles import exact_densest_bruteforce
 from dynadense.udshp import Udshp
 
 
+def _withheld(u, j):
+    """Copy j's withheld (handle, vertex set) pairs, in handle order."""
+    index = u._pending_at[j]
+    return sorted({h: vs for bucket in index.values() for h, vs in bucket.items()}.items())
+
+
 def test_duplication_formula():
     u = Udshp(16, m_bound=10, r=3, epsilon=0.3, w_star=1.0, dup_constant=64.0)
     expected = math.ceil(64.0 * 3 * log2c(16) / (0.3 * 0.3))
@@ -28,7 +34,7 @@ def test_first_edge_lands_in_all_copies():
     u.insert((0, 1, 2))
     for j, copy in u.copies.items():
         assert len(copy) == 1, f"copy {j} missing the edge"
-        assert not u._pending[j]
+        assert not u._pending_at[j]
     u.check_wrapper_invariants()
 
 
@@ -50,22 +56,61 @@ def test_identical_edges_accumulate_pendings_below_active():
         u.insert((0, 1))
     assert u.active >= 2
     low = [j for j in u.copies if j < u.active]
-    assert any(u._pending[j] for j in low), "overloaded low copies should defer edges"
+    assert any(u._pending_at[j] for j in low), "overloaded low copies should defer edges"
     u.check_wrapper_invariants()
 
 
 def test_delete_of_pending_twin_leaves_copy_untouched():
     u = Udshp(4, m_bound=64, r=2, epsilon=0.5, dup_constant=0.0)
     handles = [u.insert((0, 1)) for _ in range(40)]
-    j = next(j for j in u.copies if u._pending[j])
-    pending_handle = next(iter(u._pending[j]))
+    j = next(j for j in u.copies if u._pending_at[j])
+    pending_handle = _withheld(u, j)[0][0]
     public = next(h for h, (_, inns) in u._public.items() if pending_handle in inns)
     before = len(u.copies[j])
     u.delete(public)
-    assert pending_handle not in u._pending[j]
+    assert pending_handle not in dict(_withheld(u, j))
     # the copy lost only twins that were actually inserted there
     assert len(u.copies[j]) >= before - u.dup
     u.check_wrapper_invariants(strict_above_active=False)
+
+
+def test_wrapper_invariants_catch_a_corrupt_pending_index():
+    # the index must equal the live handles the Hop lacks, in handle order
+    rng = random.Random(3)
+    u = Udshp(5, m_bound=64, r=3, epsilon=0.5, dup_constant=0.0)
+    for _ in range(40):
+        u.insert(rng.sample(range(5), rng.randint(2, 3)))
+    u.check_wrapper_invariants()
+    j = max(u.copies, key=lambda j: len(_withheld(u, j)))
+    index = u._pending_at[j]
+    v, bucket = max(index.items(), key=lambda item: len(item[1]))
+    assert len(bucket) >= 2
+    held, held_verts = next(iter(u.copies[j].edges()))
+    withheld, withheld_verts = _withheld(u, j)[0]
+
+    def also_list_held():
+        bucket[held] = held_verts
+
+    def drop_withheld():
+        for w in withheld_verts:
+            del index[w][withheld]
+            if not index[w]:
+                del index[w]
+
+    def reorder():
+        items = list(bucket.items())[::-1]
+        bucket.clear()
+        bucket.update(items)
+
+    for corrupt in (also_list_held, drop_withheld, reorder):
+        saved = {w: dict(b) for w, b in index.items()}
+        corrupt()
+        with pytest.raises(AssertionError):
+            u.check_wrapper_invariants()
+        index.clear()
+        index.update(saved)
+        bucket = index[v]
+        u.check_wrapper_invariants()
 
 
 def test_insert_delete_round_trip_resets_everything():
@@ -82,7 +127,7 @@ def test_insert_delete_round_trip_resets_everything():
     assert u.live_internal_count() == 0
     for j, copy in u.copies.items():
         assert len(copy) == 0 and copy.max_in_degree() == 0
-        assert not u._pending[j]
+        assert not u._pending_at[j]
 
 
 def test_capacity_enforced():
@@ -144,7 +189,7 @@ def _udshp_state(u):
         j: (
             {h: copy.head_of(h) for h, _ in copy.edges()},
             [copy.d_in(v) for v in range(u.n)],
-            list(u._pending[j].items()),
+            _withheld(u, j),
         )
         for j, copy in u.copies.items()
     }
@@ -249,7 +294,7 @@ def test_window_churn_stream_is_pinned(monkeypatch):
                 u.delete(window.popleft())
                 deleting = False
                 retreats += u.active < before
-            pending = [list(u._pending[j]) for j in u.copies]
+            pending = [[h for h, _ in _withheld(u, j)] for j in u.copies]
             state = (u.active, u.max_density(), sorted(u.densest_subset()), pending)
             digest.update(repr(state).encode())
     u.check_wrapper_invariants(strict_above_active=False)

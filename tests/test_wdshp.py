@@ -144,7 +144,7 @@ class TestUpdates:
             for slot, ensemble in enumerate(distinct):
                 recorded = [
                     per_ensemble[slot]
-                    for _, _, per_ensemble in w._registry.values()
+                    for per_ensemble in w._registry.values()
                     if per_ensemble[slot] is not None
                 ]
                 # one inner handle per drawn edge, and nothing else live
@@ -292,7 +292,7 @@ def test_subset_lies_in_live_support(kind):
     # the first edge (all three start with one edge among 50 vertices)
     n = 50
     if kind == "hop":
-        hop = Hop(n, 0.5, 4.0, eta_override=2.0)
+        hop = Hop(n, 0.5, 2.0)
         handles = itertools.count()
 
         def insert(verts, _weight):
