@@ -15,18 +15,22 @@ Supporting structures per vertex:
   copies it holds.  For eta >= 4 the group order is the round-robin
   cursor: the first group is the next to probe or inform, an informed
   group moves to the end, and a new group enters last;
-* the edges containing the vertex but headed elsewhere (Out(v)), in the
-  order they entered it, so the fresh delete chain's argmax gives a tie
-  to the edge that entered last; paired with a lazy max-heap of groups
-  keyed by the locally-known head load (heap entries are created on
-  demand from a dirty set and stale ones are discarded when popped);
+* the groups that contain the vertex but are headed elsewhere (Out(v)),
+  keyed by (head, vertex set) and mapped to that group's In(head) dict.
+  Out(v) changes only when a group is created or emptied, so an edge
+  that joins a live group touches no Out(v), and the delete chain's
+  argmax costs one step per group.  A tie at the highest load goes, in
+  a fresh Hop, to the group holding the most recently attached edge,
+  which is returned; in a lazy one, to the smallest key, whose oldest
+  edge is returned.  Neither depends on the order of Out(v);
 * one locally-known ("mirror") load per (head, vertex set) group: the
   load of its head as last told to its members.  A group is informed
   as a whole, so one cell serves every member and every copy.
 
-Mirrors, heaps and dirty sets exist only for eta >= 4.  Below that the
-probe budget ceil(4 d / eta) covers all of In(v), so every mirror would
-equal the true load: probes read true loads and nothing is informed.
+Mirrors exist only for eta >= 4.  Below that the probe budget
+ceil(4 d / eta) covers all of In(v), so every mirror would equal the
+true load: probes and the delete chain read true loads and nothing is
+informed.
 
 A global degree->vertices bucket index supplies the max load and the
 level sets used by the subset query.
@@ -34,7 +38,6 @@ level sets used by the subset query.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -109,24 +112,21 @@ class Hop:
 
         self._verts: Dict[int, EdgeVerts] = {}
         self._head: Dict[int, int] = {}
-        # Out(v): {handle: None} in entry order
-        self._out: List[Dict[int, None]] = [{} for _ in range(n)]
         # In(v): {vertex set: {handle: attach seq}}, no group empty, so a
         # probe tests each distinct set once; attach sequence numbers keep
         # a fresh probe's answer that of a scan in attach order
         self._in: List[Dict[EdgeVerts, Dict[int, int]]] = [{} for _ in range(n)]
+        # Out(v): {(head, vertex set): In(head)[vertex set]} for the live
+        # groups that hold v but are headed elsewhere
+        self._out: List[Dict[_GroupKey, Dict[int, int]]] = [{} for _ in range(n)]
         self._attach_seq = 0
         # With eta < 4 the probe budget ceil(4 d / eta) exceeds d, so it
         # covers all of In(v) (at most d + 1 edges) at every load change and
         # mirrors would always equal the true loads.  In that regime nothing
-        # is informed and probes read true loads; the lazy machinery (the
-        # group cursor order, mirrors, heaps, dirty sets) exists only for
-        # eta >= 4.
+        # is informed and probes and the delete chain read true loads; the
+        # lazy machinery (the group cursor order and mirrors) exists only
+        # for eta >= 4.
         self._fresh = self.eta < 4.0
-        lazy_n = 0 if self._fresh else n
-        self._heap: List[List[Tuple[int, _GroupKey]]] = [[] for _ in range(lazy_n)]
-        # groups in Out(v) whose key changed since their last push
-        self._dirty: List[Set[_GroupKey]] = [set() for _ in range(lazy_n)]
         # _mir[(head, verts)] = d_in(head) as last told to the group's members
         self._mir: Dict[_GroupKey, int] = {}
         self._degs = _DegreeBuckets(n)
@@ -138,18 +138,20 @@ class Hop:
         Every container is copied one by one rather than through
         ``__dict__``, so only the state is copied: attributes set on the
         instance (such as patched methods) stay with this one.  Copied
-        dicts keep their order, so Out(v) ties and the group cursor and
-        attach order of In(v) carry over.
+        dicts keep their order, so the group cursor and attach order of
+        In(v) carry over; Out(v) is rebuilt from the copied groups, since
+        no answer depends on its order.
         """
         c = Hop.__new__(Hop)
         c.n, c.epsilon, c.eta, c._fresh = self.n, self.epsilon, self.eta, self._fresh
         c._verts = dict(self._verts)
         c._head = dict(self._head)
-        c._out = [dict(out) for out in self._out]
         c._in = [{vs: dict(g) for vs, g in groups.items()} for groups in self._in]
+        c._out = [{} for _ in range(self.n)]
+        for head, groups in enumerate(c._in):
+            for vs, group in groups.items():
+                c._file_out((head, vs), group)
         c._attach_seq = self._attach_seq
-        c._heap = [list(heap) for heap in self._heap]
-        c._dirty = [set(dirty) for dirty in self._dirty]
         c._mir = dict(self._mir)
         c._degs = self._degs.clone()
         c.last_rotations = self.last_rotations
@@ -189,12 +191,19 @@ class Hop:
     def _probe_count(self, v: int) -> int:
         return min(len(self._in[v]), math.ceil(4.0 * self._degs.deg[v] / self.eta))
 
+    def _file_out(self, key: _GroupKey, group: Dict[int, int]) -> None:
+        head, verts = key
+        out = self._out
+        for u in verts:
+            if u != head:
+                out[u][key] = group
+
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
         """File edge under `head` in its vertex set's group.
 
-        Lazily, a new group's mirror takes the head's true load and is
-        marked dirty at the other members; an edge that joins a live group
-        shares that group's mirror.
+        A new group enters Out(u) at each other member u and, lazily,
+        takes the head's true load as its mirror; an edge that joins a
+        live group shares that group's entries and mirror.
         """
         self._head[handle] = head
         seq = self._attach_seq
@@ -203,19 +212,12 @@ class Hop:
         group = groups.get(verts)
         if group is not None:
             group[handle] = seq
-        else:
-            groups[verts] = {handle: seq}
-            if not self._fresh:
-                key = (head, verts)
-                self._mir[key] = self._degs.deg[head]
-                dirty = self._dirty
-                for u in verts:
-                    if u != head:
-                        dirty[u].add(key)
-        out = self._out
-        for u in verts:
-            if u != head:
-                out[u][handle] = None
+            return
+        group = groups[verts] = {handle: seq}
+        key = (head, verts)
+        self._file_out(key, group)
+        if not self._fresh:
+            self._mir[key] = self._degs.deg[head]
 
     def _detach(self, handle: int) -> None:
         head = self._head.pop(handle)
@@ -225,11 +227,13 @@ class Hop:
         del group[handle]
         if not group:
             del groups[verts]
+            key = (head, verts)
             if not self._fresh:
-                del self._mir[(head, verts)]
-        for u in verts:
-            if u != head:
-                del self._out[u][handle]
+                del self._mir[key]
+            out = self._out
+            for u in verts:
+                if u != head:
+                    del out[u][key]
 
     def _rotate(self, handle: int, v: int) -> None:
         verts = self._verts[handle]
@@ -273,87 +277,68 @@ class Hop:
         return best_h
 
     def _tight_out_edge(self, v: int) -> Optional[int]:
-        """Peek the max-mirror-key group of Out(v); lazily drops stale entries.
+        """An edge of Out(v) whose head is loaded enough to take v's slot.
 
-        Returns that group's oldest edge.  Groups whose key changed since
-        their last push sit in the dirty set and get (re)pushed here, so
-        informs stay O(1) per observer.
+        The first pass finds the highest head load over the groups of
+        Out(v): the true load in a fresh Hop, the mirror in a lazy one.
+        Below d_in(v) + eta/2 nothing qualifies, and most calls end
+        there, so ties are broken only afterwards, among the groups at
+        that load.  A fresh Hop returns the most recently attached edge
+        of those groups; a lazy one returns the oldest edge of the group
+        with the smallest (head, vertex set) key.
         """
+        out = self._out[v]
+        deg = self._degs.deg
+        limit = deg[v] + self.eta / 2.0
+        # plain loops: Out(v) is often a handful of groups, where building
+        # a list or a bound method for max() costs more than the scan; an
+        # empty Out(v) leaves best at -1, below the limit
+        best = -1
         if self._fresh:
-            # mirrors are definitionally current: argmax over true loads,
-            # the latest entry of Out(v) winning a tie
-            head = self._head
-            deg = self._degs.deg
-            best_h = None
-            best = -1
-            for h in self._out[v]:
-                k = deg[head[h]]
-                if k >= best:
-                    best, best_h = k, h
-            if best_h is not None and best >= deg[v] + self.eta / 2.0:
-                return best_h
-            return None
-        heap = self._heap[v]
-        dirty = self._dirty[v]
+            for head, _ in out:
+                d = deg[head]
+                if d > best:
+                    best = d
+            if best < limit:
+                return None
+            best_h, best_seq = None, -1
+            for (head, _), group in out.items():
+                if deg[head] == best:
+                    h, seq = next(reversed(group.items()))
+                    if seq > best_seq:
+                        best_h, best_seq = h, seq
+            return best_h
         mir = self._mir
-        if dirty:
-            for key in dirty:
-                if key in mir:
-                    heapq.heappush(heap, (-mir[key], key))
-            dirty.clear()
-            self._maybe_compact(v)
-            heap = self._heap[v]
-        while heap:
-            negkey, key = heap[0]
-            cur = mir.get(key)
-            if cur is None or -negkey != cur:
-                heapq.heappop(heap)
-                continue
-            if cur >= self._degs.deg[v] + self.eta / 2.0:
-                head, verts = key
-                return next(iter(self._in[head][verts]))
+        for key in out:
+            m = mir[key]
+            if m > best:
+                best = m
+        if best < limit:
             return None
-        return None
+        key = min(key for key in out if mir[key] == best)
+        return next(iter(out[key]))
 
     def _inform(self, v: int, count: int, limit: float = -1.0) -> Optional[int]:
         """Tell the members of the next `count` In(v) groups v's load.
 
-        Each informed group moves to the end of the cursor order, takes
-        d_in(v) as its mirror and is marked dirty at its other members.
-        Stops at the first informed group with another member whose load
-        is at most `limit` (by default none can be) and returns its oldest
-        edge.
+        Each informed group moves to the end of the cursor order and
+        takes d_in(v) as its mirror.  Stops at the first informed group
+        with a member whose load is at most `limit` (by default none can
+        be, and v itself never is) and returns its oldest edge.
         """
         deg = self._degs.deg
         deg_v = deg[v]
         groups = self._in[v]
         mir = self._mir
-        dirty = self._dirty
         # count <= the number of groups, so the first `count` keys, taken
         # before any move, are the ones that reach the front one after another
         for verts in list(itertools.islice(groups, count)):
             group = groups[verts] = groups.pop(verts)
-            key = (v, verts)
-            mir[key] = deg_v
-            tight = False
+            mir[(v, verts)] = deg_v
             for u in verts:
-                if u != v:
-                    dirty[u].add(key)
-                    if deg[u] <= limit:
-                        tight = True
-            if tight:
-                return next(iter(group))
+                if deg[u] <= limit:
+                    return next(iter(group))
         return None
-
-    def _maybe_compact(self, v: int) -> None:
-        heap = self._heap[v]
-        out = self._out[v]
-        if len(heap) > 4 * len(out) + 16:
-            mir, head, verts = self._mir, self._head, self._verts
-            keys = {(head[h], verts[h]) for h in out}
-            self._heap[v] = [(-mir[key], key) for key in keys]
-            heapq.heapify(self._heap[v])
-            self._dirty[v].clear()
 
     def _shift(self, v: int, delta: int) -> None:
         self._degs.shift(v, delta)
@@ -464,7 +449,9 @@ class Hop:
 
         In(v) must hold no empty group, file each edge headed at v under
         its own vertex set, and number each group's edges in increasing
-        attach order.  A lazy Hop keeps one mirror per live group.
+        attach order.  Out(v) must hold exactly the live groups that
+        contain v and are headed elsewhere, each as the very dict In(head)
+        keeps.  A lazy Hop keeps one mirror per live group.
         """
         counts = [0] * self.n
         for h, verts in self._verts.items():
@@ -472,11 +459,9 @@ class Hop:
             assert v in verts, f"head of {h} not a member"
             counts[v] += 1
             assert h in self._in[v].get(verts, ()), f"edge {h} missing from In({v})"
-            for u in verts:
-                if u != v:
-                    assert h in self._out[u], f"edge {h} missing from Out({u})"
         assert counts == self._degs.deg, "in-degree counters diverged"
         assert sum(counts) == len(self._verts)
+        out: List[Dict[_GroupKey, Dict[int, int]]] = [{} for _ in range(self.n)]
         for v in range(self.n):
             groups = self._in[v]
             assert sum(map(len, groups.values())) == counts[v]
@@ -490,7 +475,12 @@ class Hop:
                 assert all(a < b for a, b in zip(seqs, seqs[1:])), (
                     f"group {key} in In({v}) out of attach order"
                 )
-            for h in self._out[v]:
-                assert h in self._verts and self._head[h] != v
+                for u in key:
+                    if u != v:
+                        out[u][(v, key)] = group
+        for v in range(self.n):
+            assert self._out[v].keys() == out[v].keys(), f"Out({v}) diverged from the live groups"
+            for key, group in self._out[v].items():
+                assert group is out[v][key], f"Out({v}) holds a copy of group {key}"
         live = set() if self._fresh else {(v, vs) for v, gs in enumerate(self._in) for vs in gs}
         assert set(self._mir) == live, "mirrors diverged from the live groups"

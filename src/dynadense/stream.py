@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .io import TemporalEvent
 from .model import WeightedHypergraph
-from .oracles import exact_densest_bruteforce, greedy_peel
+from .oracles import MAX_SUPPORT, exact_densest_bruteforce, greedy_peel
 from .udshp import DUPLICATION_CONSTANT, Udshp
 from .wdshp import Wdshp
 
@@ -85,6 +85,11 @@ class RunConfig:
             raise ConfigError("rank bound must be positive")
         if not (math.isfinite(self.dup_constant) and self.dup_constant >= 0):  # 0: dup 1
             raise ConfigError(f"dup constant must be finite and >= 0, got {self.dup_constant}")
+        if not 0 <= self.oracle_support_limit <= MAX_SUPPORT:
+            raise ConfigError(
+                f"oracle support limit must be in [0, {MAX_SUPPORT}], "
+                f"got {self.oracle_support_limit}"
+            )
 
 
 @dataclass

@@ -106,11 +106,15 @@ class TestRotate:
         before = sum(h.d_in(v) for v in range(3))
         h._rotate(0, 2)
         assert h.head_of(0) == 2
-        assert 0 in h._in[2][(0, 1, 2)] and 0 in h._out[0] and 0 in h._out[1]
+        group = h._in[2][(0, 1, 2)]
+        assert 0 in group and h._out[0] == h._out[1] == {(2, (0, 1, 2)): group}
+        assert not h._out[2]
         assert sum(h.d_in(v) for v in range(3)) == before
         h._rotate(0, 0)
         assert h.head_of(0) == 0
-        assert 0 in h._in[0][(0, 1, 2)] and 0 in h._out[1] and 0 in h._out[2]
+        group = h._in[0][(0, 1, 2)]
+        assert 0 in group and h._out[1] == h._out[2] == {(0, (0, 1, 2)): group}
+        assert not h._out[0] and not h._in[2]
         h.check_consistency()
 
 
@@ -190,9 +194,9 @@ def test_random_mixed_sequences_keep_invariants(eta):
 
 @pytest.mark.parametrize("eta", [1.0, 3.9, 4.0, 6.0])
 def test_mirrors_exist_only_in_lazy_regime(eta):
-    # below eta 4 probes cover In(v), so no mirror, heap or dirty entry is
-    # ever written; from eta 4 on every live (head, vertex set) group
-    # carries one mirror, shared by its parallel copies
+    # below eta 4 probes cover In(v), so no mirror is ever written; from
+    # eta 4 on every live (head, vertex set) group carries one mirror,
+    # shared by its parallel copies
     rng = random.Random(5)
     h = Hop(8, 0.4, eta)
     assert h._fresh == (eta < 4.0)
@@ -207,16 +211,38 @@ def test_mirrors_exist_only_in_lazy_regime(eta):
             live.append(k)
         rotations += h.last_rotations
         if h._fresh:
-            assert not h._mir and not any(h._heap) and not any(h._dirty)
+            assert not h._mir
         else:
             assert set(h._mir) == {(h.head_of(k), h._verts[k]) for k in live}
     assert rotations > 0 and deletes > 0
 
 
+@pytest.mark.parametrize("eta", [2.0, 6.0])
+def test_parallel_copies_share_one_out_entry_per_group(eta):
+    # 40 copies each of two vertex sets: Out(u) names each live
+    # (head, vertex set) group once, however many copies it holds, and
+    # drops it only when its last copy leaves
+    h = Hop(3, 0.4, eta)
+    for k in range(80):
+        h.insert(k, (0, 1) if k % 2 else (0, 1, 2))
+
+    def check():
+        for u in range(3):
+            live = {(h.head_of(k), vs) for k, vs in h.edges() if u in vs and h.head_of(k) != u}
+            assert set(h._out[u]) == live
+        h.check_consistency()
+
+    check()
+    for k in [*range(0, 80, 3), *range(1, 80, 3)]:
+        h.delete(k)
+        check()
+
+
 # sha256 over every step's (head of each live edge, last_rotations), captured
-# when Out(v) began to keep entry order (1.0, 2.3: the fresh delete chain's
-# ties go to the latest entry) and when the lazy In(v) was grouped by
-# vertex set (4.0, 6.0: one mirror, inform step and heap entry per group)
+# when the fresh delete chain's ties first went to the latest attached edge
+# of Out(v) (1.0, 2.3) and when the lazy In(v) was grouped by vertex set
+# (4.0, 6.0: one mirror and inform step per group, ties to the smallest
+# group key); none moved when Out(v) began to file groups, not edges
 BURST_DIGESTS = {
     1.0: "370ad060d48a455764acd02e1e2c76377bbcbab67e4517ee302cb2fadd99c9a4",
     2.3: "5d242e0f7ee1fd995db26b9f6725edbb4e6d69e20aecac06ddcfda7af8d3149e",

@@ -289,6 +289,9 @@ def test_cli_missing_input_exits_2(tmp_path, capsys):
     ["--dup-constant", "1e308"],
     ["--algo", "wdshp", "--dup-constant", "1e308"],
     ["--epsilon", "1.5"],
+    # past the exhaustive oracle's MAX_SUPPORT (24), or below 0
+    ["--oracle-limit", "25"],
+    ["--algo", "exact", "--oracle-limit", "-1"],
 ])
 def test_cli_bad_constant_exits_3(flags, tmp_path, capsys):
     argv = ["--input", str(FIXTURES / "mini"), "--format", "benson",

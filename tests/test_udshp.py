@@ -261,7 +261,9 @@ def test_window_churn_stream_is_pinned(monkeypatch):
     # sliding-window churn at dup 10 whose live count swings 120 <-> 8:
     # low copies withhold core edges, deletes swap them back in and the
     # active index advances and retreats; the per-step state was captured
-    # when Out(v) began to keep entry order
+    # when the fresh delete chain's ties first went to the latest attached
+    # edge of Out(v), and did not move when Out(v) began to file
+    # (head, vertex set) groups instead of edges
     rng = random.Random(11)
     n = 60
     u = Udshp(n, m_bound=400, r=3, epsilon=0.3, dup_constant=0.05)
