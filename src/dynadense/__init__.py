@@ -15,7 +15,7 @@ Layers, bottom up:
 
 from .hop import Hop
 from .io import FormatError, LoadReport, TemporalEvent, load_benson, load_events
-from .model import WeightedHypergraph, canonical_edge, density, max_multiplicity
+from .model import WeightedHypergraph, canonical_edge, density
 from .oracles import (
     OracleResult,
     exact_densest_bruteforce,
@@ -50,7 +50,6 @@ __all__ = [
     "RunSummary",
     "canonical_edge",
     "density",
-    "max_multiplicity",
     "epsilon_from_delta",
     "exact_densest_bruteforce",
     "exact_densest_graycode",

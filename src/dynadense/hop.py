@@ -4,33 +4,26 @@ Maintains an assignment of one head vertex per hyperedge such that the
 head's in-degree never exceeds any member's in-degree by more than the
 slack eta.  The caller sets eta (the ensemble derives it from the load
 guess a copy serves); the Hop keeps no slack formula.  Inserts and
-deletes trigger chains of head rotations; stale knowledge of neighbor
-loads is refreshed lazily, a few groups per update, round-robin.
+deletes trigger chains of head rotations.  Every step reads true loads:
+the analysis allows each vertex a copy of its neighbours' loads up to
+eta/4 stale, and a copy that is never stale meets that bound.
 
 Supporting structures per vertex:
 
-* the edges headed here (In(v)), grouped by vertex set: tightness and
-  the head load told to the members depend only on the group, so a
-  probe or an inform costs one step per group however many parallel
-  copies it holds.  For eta >= 4 the group order is the round-robin
-  cursor: the first group is the next to probe or inform, an informed
-  group moves to the end, and a new group enters last;
+* the edges headed here (In(v)), grouped by vertex set: tightness
+  depends only on the group, so a probe costs one step per group
+  however many parallel copies it holds.  The group order is the
+  round-robin cursor of the insert probe: when ceil(4 d_in(v) / eta)
+  groups fall short of In(v), the probe tests that many from the front
+  and moves them to the end, and a new group enters last.  Below eta 4
+  the budget covers In(v) whenever d_in(v) >= 1, so nothing moves;
 * the groups that contain the vertex but are headed elsewhere (Out(v)),
   keyed by (head, vertex set) and mapped to that group's In(head) dict.
   Out(v) changes only when a group is created or emptied, so an edge
   that joins a live group touches no Out(v), and the delete chain's
-  argmax costs one step per group.  A tie at the highest load goes, in
-  a fresh Hop, to the group holding the most recently attached edge,
-  which is returned; in a lazy one, to the smallest key, whose oldest
-  edge is returned.  Neither depends on the order of Out(v);
-* one locally-known ("mirror") load per (head, vertex set) group: the
-  load of its head as last told to its members.  A group is informed
-  as a whole, so one cell serves every member and every copy.
-
-Mirrors exist only for eta >= 4.  Below that the probe budget
-ceil(4 d / eta) covers all of In(v), so every mirror would equal the
-true load: probes and the delete chain read true loads and nothing is
-informed.
+  argmax costs one step per group.  A tie at the highest head load goes
+  to the group holding the most recently attached edge, which is
+  returned; no answer depends on the order of Out(v).
 
 A global degree->vertices bucket index supplies the max load and the
 level sets used by the subset query.
@@ -113,22 +106,13 @@ class Hop:
         self._verts: Dict[int, EdgeVerts] = {}
         self._head: Dict[int, int] = {}
         # In(v): {vertex set: {handle: attach seq}}, no group empty, so a
-        # probe tests each distinct set once; attach sequence numbers keep
-        # a fresh probe's answer that of a scan in attach order
+        # probe tests each distinct set once; attach sequence numbers pick
+        # the oldest edge among the tight groups probed
         self._in: List[Dict[EdgeVerts, Dict[int, int]]] = [{} for _ in range(n)]
         # Out(v): {(head, vertex set): In(head)[vertex set]} for the live
         # groups that hold v but are headed elsewhere
         self._out: List[Dict[_GroupKey, Dict[int, int]]] = [{} for _ in range(n)]
         self._attach_seq = 0
-        # With eta < 4 the probe budget ceil(4 d / eta) exceeds d, so it
-        # covers all of In(v) (at most d + 1 edges) at every load change and
-        # mirrors would always equal the true loads.  In that regime nothing
-        # is informed and probes and the delete chain read true loads; the
-        # lazy machinery (the group cursor order and mirrors) exists only
-        # for eta >= 4.
-        self._fresh = self.eta < 4.0
-        # _mir[(head, verts)] = d_in(head) as last told to the group's members
-        self._mir: Dict[_GroupKey, int] = {}
         self._degs = _DegreeBuckets(n)
         self.last_rotations = 0
 
@@ -138,12 +122,12 @@ class Hop:
         Every container is copied one by one rather than through
         ``__dict__``, so only the state is copied: attributes set on the
         instance (such as patched methods) stay with this one.  Copied
-        dicts keep their order, so the group cursor and attach order of
+        dicts keep their order, so the probe cursor and attach order of
         In(v) carry over; Out(v) is rebuilt from the copied groups, since
         no answer depends on its order.
         """
         c = Hop.__new__(Hop)
-        c.n, c.epsilon, c.eta, c._fresh = self.n, self.epsilon, self.eta, self._fresh
+        c.n, c.epsilon, c.eta = self.n, self.epsilon, self.eta
         c._verts = dict(self._verts)
         c._head = dict(self._head)
         c._in = [{vs: dict(g) for vs, g in groups.items()} for groups in self._in]
@@ -152,7 +136,6 @@ class Hop:
             for vs, group in groups.items():
                 c._file_out((head, vs), group)
         c._attach_seq = self._attach_seq
-        c._mir = dict(self._mir)
         c._degs = self._degs.clone()
         c.last_rotations = self.last_rotations
         return c
@@ -188,9 +171,6 @@ class Hop:
                 best, bd = u, d
         return best
 
-    def _probe_count(self, v: int) -> int:
-        return min(len(self._in[v]), math.ceil(4.0 * self._degs.deg[v] / self.eta))
-
     def _file_out(self, key: _GroupKey, group: Dict[int, int]) -> None:
         head, verts = key
         out = self._out
@@ -201,9 +181,8 @@ class Hop:
     def _attach(self, handle: int, verts: EdgeVerts, head: int) -> None:
         """File edge under `head` in its vertex set's group.
 
-        A new group enters Out(u) at each other member u and, lazily,
-        takes the head's true load as its mirror; an edge that joins a
-        live group shares that group's entries and mirror.
+        A new group enters Out(u) at each other member u; an edge that
+        joins a live group shares that group's entries.
         """
         self._head[handle] = head
         seq = self._attach_seq
@@ -214,10 +193,7 @@ class Hop:
             group[handle] = seq
             return
         group = groups[verts] = {handle: seq}
-        key = (head, verts)
-        self._file_out(key, group)
-        if not self._fresh:
-            self._mir[key] = self._degs.deg[head]
+        self._file_out((head, verts), group)
 
     def _detach(self, handle: int) -> None:
         head = self._head.pop(handle)
@@ -228,8 +204,6 @@ class Hop:
         if not group:
             del groups[verts]
             key = (head, verts)
-            if not self._fresh:
-                del self._mir[key]
             out = self._out
             for u in verts:
                 if u != head:
@@ -245,25 +219,27 @@ class Hop:
     def _tight_in_edge(self, v: int) -> Optional[int]:
         """Probe edges headed at v for a slack violation risk.
 
-        Returns the first probed edge whose min-load member sits at
-        least eta/2 below d_in(v).  A fresh Hop probes all of In(v) in
-        attach order; a lazy one probes the next few groups of the
-        cursor order through the inform step, so every probed group is
-        also informed of v's current load and probe passes never starve
-        the round-robin inform schedule.  The violation test uses true
-        loads.
+        Probes ceil(4 d_in(v) / eta) groups of In(v) in cursor order,
+        moving each probed group to the end, or every group in place
+        when the budget covers In(v) (moving all of them would leave the
+        order as it is).  Returns the oldest attached edge of the probed
+        groups with a member at least eta/2 below d_in(v), the one a scan
+        of those groups in attach order would meet first.
         """
         deg = self._degs.deg
+        budget = math.ceil(4.0 * deg[v] / self.eta)
+        if not budget:
+            return None  # d_in(v) = 0: no member can sit eta/2 below v
         limit = deg[v] - self.eta / 2.0
-        if not self._fresh:
-            return self._inform(v, self._probe_count(v), limit)
-        # the budget covers In(v) and tightness depends only on the vertex
-        # set: test each group once and return the oldest attached edge of
-        # the tight groups, the one a scan of In(v) in attach order would
-        # meet first
-        best_h = None
-        best_seq = math.inf
-        for vs, group in self._in[v].items():
+        groups = self._in[v]
+        if budget < len(groups):
+            probed = [(vs, groups.pop(vs)) for vs in list(itertools.islice(groups, budget))]
+            groups.update(probed)
+        else:
+            probed = groups.items()
+        # tightness depends only on the vertex set: test each group once
+        best_h, best_seq = None, math.inf
+        for vs, group in probed:
             bd = deg[vs[0]]
             for u in vs[1:]:
                 d = deg[u]
@@ -280,12 +256,9 @@ class Hop:
         """An edge of Out(v) whose head is loaded enough to take v's slot.
 
         The first pass finds the highest head load over the groups of
-        Out(v): the true load in a fresh Hop, the mirror in a lazy one.
-        Below d_in(v) + eta/2 nothing qualifies, and most calls end
-        there, so ties are broken only afterwards, among the groups at
-        that load.  A fresh Hop returns the most recently attached edge
-        of those groups; a lazy one returns the oldest edge of the group
-        with the smallest (head, vertex set) key.
+        Out(v).  Below d_in(v) + eta/2 nothing qualifies, and most calls
+        end there, so ties are broken only afterwards: among the groups
+        at that load, the most recently attached edge is returned.
         """
         out = self._out[v]
         deg = self._degs.deg
@@ -294,56 +267,19 @@ class Hop:
         # a list or a bound method for max() costs more than the scan; an
         # empty Out(v) leaves best at -1, below the limit
         best = -1
-        if self._fresh:
-            for head, _ in out:
-                d = deg[head]
-                if d > best:
-                    best = d
-            if best < limit:
-                return None
-            best_h, best_seq = None, -1
-            for (head, _), group in out.items():
-                if deg[head] == best:
-                    h, seq = next(reversed(group.items()))
-                    if seq > best_seq:
-                        best_h, best_seq = h, seq
-            return best_h
-        mir = self._mir
-        for key in out:
-            m = mir[key]
-            if m > best:
-                best = m
+        for head, _ in out:
+            d = deg[head]
+            if d > best:
+                best = d
         if best < limit:
             return None
-        key = min(key for key in out if mir[key] == best)
-        return next(iter(out[key]))
-
-    def _inform(self, v: int, count: int, limit: float = -1.0) -> Optional[int]:
-        """Tell the members of the next `count` In(v) groups v's load.
-
-        Each informed group moves to the end of the cursor order and
-        takes d_in(v) as its mirror.  Stops at the first informed group
-        with a member whose load is at most `limit` (by default none can
-        be, and v itself never is) and returns its oldest edge.
-        """
-        deg = self._degs.deg
-        deg_v = deg[v]
-        groups = self._in[v]
-        mir = self._mir
-        # count <= the number of groups, so the first `count` keys, taken
-        # before any move, are the ones that reach the front one after another
-        for verts in list(itertools.islice(groups, count)):
-            group = groups[verts] = groups.pop(verts)
-            mir[(v, verts)] = deg_v
-            for u in verts:
-                if deg[u] <= limit:
-                    return next(iter(group))
-        return None
-
-    def _shift(self, v: int, delta: int) -> None:
-        self._degs.shift(v, delta)
-        if not self._fresh:
-            self._inform(v, self._probe_count(v))
+        best_h, best_seq = None, -1
+        for (head, _), group in out.items():
+            if deg[head] == best:
+                h, seq = next(reversed(group.items()))
+                if seq > best_seq:
+                    best_h, best_seq = h, seq
+        return best_h
 
     # -- public operations ---------------------------------------------
 
@@ -364,7 +300,7 @@ class Hop:
                 break
             v = self._argmin_vertex(self._verts[f])
             self._rotate(f, v)
-        self._shift(v, +1)
+        self._degs.shift(v, +1)
 
     def delete(self, handle: int) -> int:
         """Remove an edge; returns the head it had, where capacity was freed."""
@@ -383,7 +319,7 @@ class Hop:
             v = w
         if self._degs.deg[v] < 1:
             raise AssertionError(f"decrement of vertex {v} at in-degree 0")
-        self._shift(v, -1)
+        self._degs.shift(v, -1)
         return head
 
     # -- queries -------------------------------------------------------
@@ -428,21 +364,28 @@ class Hop:
                     )
 
     def check_staleness(self) -> None:
-        """Mirrors of every head's load must be within eta/4 of the truth."""
-        if self._fresh:
-            # every load change informs all of In(v), so the effective
-            # mirrors are the true loads: staleness is identically zero
-            return
+        """The delete chain reads true loads: staleness 0, within eta/4.
+
+        For each vertex u, _tight_out_edge(u) must answer as a scan of
+        the live edges does: None exactly when no other head of an edge
+        through u reaches d_in(u) + eta/2, and otherwise an edge through
+        u whose head has the highest such load.
+        """
         deg = self._degs.deg
-        bound = self.eta / 4.0 + 1e-9
+        top = [-1] * self.n
         for h, verts in self._verts.items():
-            v = self._head[h]
-            believed = self._mir[(v, verts)]
-            if len(verts) > 1 and abs(deg[v] - believed) > bound:
-                raise AssertionError(
-                    f"stale mirror on edge {h}: true d_in({v})={deg[v]}, "
-                    f"members believe {believed}, bound {self.eta / 4}"
-                )
+            head = self._head[h]
+            for u in verts:
+                if u != head and deg[head] > top[u]:
+                    top[u] = deg[head]
+        for u in range(self.n):
+            f = self._tight_out_edge(u)
+            if top[u] < deg[u] + self.eta / 2.0:
+                assert f is None, f"Out({u}) named edge {f} with no head at the threshold"
+            else:
+                assert f is not None and u in self._verts[f] and self._head[f] != u and (
+                    deg[self._head[f]] == top[u]
+                ), f"Out({u}) named edge {f}, not one headed at the top load {top[u]}"
 
     def check_consistency(self) -> None:
         """Membership and degree bookkeeping agree with a fresh rebuild.
@@ -451,7 +394,7 @@ class Hop:
         its own vertex set, and number each group's edges in increasing
         attach order.  Out(v) must hold exactly the live groups that
         contain v and are headed elsewhere, each as the very dict In(head)
-        keeps.  A lazy Hop keeps one mirror per live group.
+        keeps.
         """
         counts = [0] * self.n
         for h, verts in self._verts.items():
@@ -482,5 +425,3 @@ class Hop:
             assert self._out[v].keys() == out[v].keys(), f"Out({v}) diverged from the live groups"
             for key, group in self._out[v].items():
                 assert group is out[v][key], f"Out({v}) holds a copy of group {key}"
-        live = set() if self._fresh else {(v, vs) for v, gs in enumerate(self._in) for vs in gs}
-        assert set(self._mir) == live, "mirrors diverged from the live groups"

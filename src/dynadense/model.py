@@ -106,15 +106,3 @@ def density(graph: WeightedHypergraph, subset: Iterable[int]) -> Fraction:
         if verts.issuperset(edge):
             total += weight
     return Fraction(total, len(verts))
-
-
-def max_multiplicity(graph: WeightedHypergraph) -> int:
-    """Largest total weight carried by a single distinct vertex set.
-
-    Equals the max multiplicity of an edge in the unweighted expansion
-    where each edge of weight w stands for w unit copies.
-    """
-    by_set: Dict[EdgeVerts, int] = {}
-    for _, edge, weight in graph.edges():
-        by_set[edge] = by_set.get(edge, 0) + weight
-    return max(by_set.values(), default=0)

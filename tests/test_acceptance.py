@@ -39,7 +39,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-# -- criteria 1 + 2: orientation slack and mirror staleness ------------------
+# -- criteria 1 + 2: orientation slack and load staleness --------------------
 
 
 def _formula_hop(n: int, epsilon: float, d_tilde: float) -> Hop:
@@ -96,12 +96,22 @@ def _orientation_run():
 
 
 @functools.lru_cache(maxsize=1)
-def _lazy_staleness_run():
-    """2*10^4 mixed operations at fixed slack 8 (lazy mirror regime)."""
+def _budgeted_probe_run():
+    """2*10^4 mixed operations at fixed slack 8 (budgeted insert probe)."""
     n, r = 200, 5
     rng = random.Random(11)
     hop = Hop(n, 0.5, 8.0)
-    assert not hop._fresh  # the run must exercise the lazy inform path
+    short_probes = 0
+    probe = hop._tight_in_edge
+
+    def counted_probe(v):
+        # count the probes whose budget ceil(4 d / eta) falls short of In(v)
+        nonlocal short_probes
+        if math.ceil(4 * hop.d_in(v) / hop.eta) < len(hop._in[v]):
+            short_probes += 1
+        return probe(v)
+
+    hop._tight_in_edge = counted_probe
     handles: list[int] = []
     next_h = 0
     slack_bad = stale_bad = checkpoints = 0
@@ -124,31 +134,32 @@ def _lazy_staleness_run():
                 hop.check_staleness()
             except AssertionError:
                 stale_bad += 1
+    assert short_probes > 0, "the run must exercise the budgeted probe"
     return slack_bad, stale_bad, checkpoints
 
 
 def test_criterion_1_orientation_invariant():
     slack_bad, _, checkpoints, seconds = _orientation_run()
-    lazy_slack_bad, _, lazy_checkpoints = _lazy_staleness_run()
-    ok = slack_bad == 0 and lazy_slack_bad == 0 and seconds < 60.0
+    probe_slack_bad, _, probe_checkpoints = _budgeted_probe_run()
+    ok = slack_bad == 0 and probe_slack_bad == 0 and seconds < 60.0
     _verdict(
         "criterion 1, orientation slack invariant",
         ok,
         f"{slack_bad} violations over {checkpoints} full-scan checkpoints, "
-        f"{lazy_slack_bad} over {lazy_checkpoints} lazy-regime checkpoints, "
+        f"{probe_slack_bad} over {probe_checkpoints} budgeted-probe checkpoints, "
         f"main run {seconds:.1f}s (limit 60s)",
     )
 
 
 def test_criterion_2_staleness_bound():
     _, stale_bad, checkpoints, _ = _orientation_run()
-    _, lazy_stale_bad, lazy_checkpoints = _lazy_staleness_run()
-    ok = stale_bad == 0 and lazy_stale_bad == 0
+    _, probe_stale_bad, probe_checkpoints = _budgeted_probe_run()
+    ok = stale_bad == 0 and probe_stale_bad == 0
     _verdict(
         "criterion 2, mirror staleness within eta/4",
         ok,
         f"{stale_bad} violations over {checkpoints} checkpoints (covering "
-        f"regime), {lazy_stale_bad} over {lazy_checkpoints} (lazy regime)",
+        f"regime), {probe_stale_bad} over {probe_checkpoints} (budgeted probe)",
     )
 
 
@@ -267,7 +278,7 @@ def test_criterion_5_weighted_statistical_sandwich():
 
 def _assert_hop_empty(hop: Hop) -> None:
     assert len(hop) == 0 and hop.max_in_degree() == 0
-    assert not hop._mir and not hop._head
+    assert not hop._head
     assert all(len(rr) == 0 for rr in hop._in)
     assert all(not s for s in hop._out)
     assert all(d == 0 for d in hop._degs.deg)

@@ -9,7 +9,6 @@ from dynadense.model import (
     canonical_edge,
     density,
     log2c,
-    max_multiplicity,
 )
 from dynadense.oracles import exact_densest_bruteforce
 
@@ -53,28 +52,6 @@ class TestDensity:
         for _ in range(20):
             subset = set(rng.sample(range(8), rng.randint(1, 8)))
             assert density(scaled, subset) == 4 * density(base, subset)
-
-
-class TestMaxMultiplicity:
-    def test_single_weighted_edge(self):
-        g = WeightedHypergraph(4, 2)
-        g.insert((0, 1), weight=7)
-        assert max_multiplicity(g) == 7
-
-    def test_same_vertex_set_sums(self):
-        g = WeightedHypergraph(4, 2)
-        g.insert((0, 1), weight=3)
-        g.insert((1, 0), weight=4)
-        assert max_multiplicity(g) == 7
-
-    def test_max_over_distinct_sets(self):
-        g = WeightedHypergraph(4, 2)
-        g.insert((0, 1), weight=2)
-        g.insert((1, 2), weight=5)
-        assert max_multiplicity(g) == 5
-
-    def test_empty(self):
-        assert max_multiplicity(WeightedHypergraph(4, 2)) == 0
 
 
 class TestCanonicalEdge:

@@ -312,7 +312,7 @@ def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monke
     # twin whose copies each own a Hop from the start must stay in lock-step
     # through grow/shrink churn with withholds, swap-ins and retreats.  At
     # dup 9 the small slack constant leaves the top copies unclamped, with
-    # a Hop each, two of them lazy
+    # a Hop each, two of them at eta >= 4 (a budgeted insert probe)
     args = dict(n=30, m_bound=100, r=3, epsilon=0.3, dup_constant=dup_constant,
                 slack_constant=slack_constant)
     shared, reference = Udshp(**args), Udshp(**args)
