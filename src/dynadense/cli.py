@@ -1,6 +1,7 @@
 """Benchmark command line: load a temporal hypergraph, replay it, emit CSV.
 
-Exit codes: 0 success, 2 malformed input data, 3 invalid configuration.
+Exit codes: 0 success, 2 malformed or unreadable input data, 3 invalid
+configuration (including an --out that a file keeps from being a directory).
 """
 
 from __future__ import annotations
@@ -37,6 +38,18 @@ def _parse_weights(spec: str) -> Tuple:
             raise ConfigError(f"--weights uniform needs integers, got {spec!r}") from None
         return ("uniform", lo, hi, seed)
     raise ConfigError(f"--weights must be 'unit' or 'uniform:LO:HI:SEED', got {spec!r}")
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """Fail before the replay when a file stands where --out needs a directory.
+
+    Nothing is created here, so a run that fails leaves no output behind.
+    """
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out_dir}: {path} is not a directory")
+            return
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,23 +119,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             dup_constant=args.dup_constant,
         )
         config.validate()
+        out_dir = Path(args.out)
+        _check_out_dir(out_dir)
 
-        if args.format == "benson":
-            prefix = args.input
-            events, report = load_benson(
-                f"{prefix}-nverts.txt",
-                f"{prefix}-simplices.txt",
-                f"{prefix}-times.txt",
-                rank_bound=args.rank,
-            )
-        else:
-            events, report = load_events(args.input, rank_bound=args.rank)
+        try:
+            if args.format == "benson":
+                prefix = args.input
+                events, report = load_benson(
+                    f"{prefix}-nverts.txt",
+                    f"{prefix}-simplices.txt",
+                    f"{prefix}-times.txt",
+                    rank_bound=args.rank,
+                )
+            else:
+                events, report = load_events(args.input, rank_bound=args.rank)
+        except OSError as exc:
+            raise FormatError(f"cannot read {args.input}: {exc}") from exc
         events = assign_weights(events, weight_mode)
 
         points, summary = run_stream(events, config)
 
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {out_dir}: {exc}") from exc
         csv_path = out_dir / "report.csv"
         json_path = out_dir / "summary.json"
         write_csv(points, csv_path, no_timing=args.no_timing)
@@ -133,7 +153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"(rejected {rejected}); {len(points)} report points -> {csv_path}"
         )
         return 0
-    except (FormatError, FileNotFoundError) as exc:
+    except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -27,6 +27,11 @@ Supporting structures per vertex:
 
 A global degree->vertices bucket index supplies the max load and the
 level sets used by the subset query.
+
+Below eta 4 a Hop's choices read eta only through ceil(eta/2), so Hops
+at slacks 1.0 and 2.0, say, go through the same states
+(``decides_alike``).  The subset query, which reads eta itself, takes
+the slack it answers for.
 """
 
 from __future__ import annotations
@@ -87,8 +92,9 @@ class _DegreeBuckets:
 class Hop:
     """Orientation maintainer with slack eta, set by the caller.
 
-    A Hop's state depends only on eta and its operations, so Hops with
-    equal eta behave alike whatever load guess they serve.  eta must be
+    A Hop's state depends only on its operations and on eta through
+    decides_alike, so Hops whose slacks decide alike behave alike
+    whatever load guess they serve.  eta must be
     positive; inserting requires eta >= 1, since loads are integers.
     """
 
@@ -150,6 +156,13 @@ class Hop:
 
     def d_in(self, v: int) -> int:
         return self._degs.deg[v]
+
+    def loads(self) -> List[int]:
+        """Every vertex's in-degree, indexed by vertex; read only.
+
+        The list is updated in place, so one read serves a caller's loop.
+        """
+        return self._degs.deg
 
     def max_in_degree(self) -> int:
         return self._degs.max_deg
@@ -252,6 +265,21 @@ class Hop:
                     best_h, best_seq = h, seq
         return best_h
 
+    def decides_alike(self, eta: float) -> bool:
+        """Whether a Hop at slack eta makes every choice this one makes.
+
+        Loads are integers, so the tightness tests read eta only through
+        ceil(eta/2): x <= d - eta/2 holds exactly when x <= d - ceil(eta/2),
+        and x < d + eta/2 exactly when x < d + ceil(eta/2).  Below eta 4
+        the insert probe's budget covers In(v), so the budget does not
+        depend on eta either.  From eta 4 on it does, and only equal
+        slacks are known to decide alike.  Only query_subset and
+        check_slack read eta itself.
+        """
+        if self.eta < 4.0 and eta < 4.0:
+            return math.ceil(self.eta / 2.0) == math.ceil(eta / 2.0)
+        return eta == self.eta
+
     def _tight_out_edge(self, v: int) -> Optional[int]:
         """An edge of Out(v) whose head is loaded enough to take v's slot.
 
@@ -328,11 +356,17 @@ class Hop:
         """Max load discounted by (1 - eps/2); 0 on the empty structure."""
         return self._degs.max_deg * (1.0 - self.epsilon / 2.0)
 
-    def query_subset(self) -> Set[int]:
+    def query_subset(self, eta: Optional[float] = None) -> Set[int]:
+        """Level-set subset at slack eta (default: this Hop's own).
+
+        A Hop shared by copies that decide alike answers each copy's
+        query at that copy's slack.
+        """
         if not self._verts:
             raise ValueError("subset query on an empty structure")
         d_hat = self._degs.max_deg
-        eta = self.eta
+        if eta is None:
+            eta = self.eta
         gamma = math.sqrt(2.0 * eta * log2c(self.n) / d_hat)
         level = float(d_hat)
         a = self._degs.at_least(level)

@@ -20,14 +20,23 @@ withheld only while it is being inserted.  A delete that frees capacity
 at a head vertex swaps in the first handle of that vertex's bucket,
 which is the first withheld edge containing the head, without a scan.
 
-Copies whose slack is equal (the clamped low guesses, slack 1) share one
-Hop object, so one insert or delete serves them all.  Sharing is exact:
-a Hop's state depends only on its slack and its operations, and a copy
-that has never withheld an edge has received every operation, with no
-pending edge to swap in.  Sharing copies form a contiguous run, and only
-its lowest member can withhold, since it has the smallest threshold over
-the same loads.  When it first does, it forks: it takes a clone of the
-run's Hop and goes on alone.  A copy never rejoins a run.
+Copies whose slacks decide alike (``Hop.decides_alike``: equal
+ceil(eta/2) below eta 4, equal eta from 4 on; the clamped low guesses
+and the first guesses above them) share one Hop object, so one insert or
+delete serves them all.  Each copy keeps its own slack, computed once,
+for its subset query, the only answer that reads eta itself.  Sharing is
+exact: a Hop's choices depend only on how its slack decides and on its
+operations, and a copy that has never withheld an edge has received
+every operation, with no pending edge to swap in.  Sharing copies form a
+contiguous run, and only its lowest member can withhold, since it has
+the smallest threshold over the same loads.  When it first does, it
+forks: it takes a clone of the run's Hop and goes on alone.  A copy
+never rejoins a run.
+
+An insert walks the runs upward, each through all of the edge's units,
+rather than each unit through all copies, and a copy that withholds a
+unit takes the rest of the edge into its pending index in one step
+(``_insert_units`` says why this is exact).  Deletes go unit by unit.
 """
 
 from __future__ import annotations
@@ -78,12 +87,13 @@ class Udshp:
         self.dup = max(math.ceil(dup), 1)
         self.num_copies = max(math.ceil(math.log2(m_bound * self.dup)), 1)
         self.slack_constant = slack_constant
-        # copies with equal slack share one Hop until one of them forks
+        self._slacks = {i: self._slack(i) for i in range(1, self.num_copies + 1)}
+        # copies whose slacks decide alike share one Hop until one of them
+        # forks
         self.copies: Dict[int, Hop] = {}
         hop = None
-        for i in range(1, self.num_copies + 1):
-            eta = self._slack(i)
-            if hop is None or hop.eta != eta:
+        for i, eta in self._slacks.items():
+            if hop is None or not hop.decides_alike(eta):
                 hop = Hop(n, epsilon, eta)
             self.copies[i] = hop
         self.active = 0
@@ -127,14 +137,6 @@ class Udshp:
 
     # -- active index maintenance --------------------------------------
 
-    def _advance_active(self) -> None:
-        while self.active < self.num_copies:
-            probe = max(self.active, 1)
-            if self.copies[probe].max_in_degree() >= 2 ** self.active:
-                self.active += 1
-            else:
-                break
-
     def _retreat_active(self) -> None:
         while (
             self.active >= 1
@@ -144,32 +146,59 @@ class Udshp:
 
     # -- internal fan-out ----------------------------------------------
 
-    def _insert_internal(self, handle: int, verts: EdgeVerts) -> None:
-        self._advance_active()
-        active = self.active
+    def _insert_units(self, handles: range, verts: EdgeVerts) -> None:
+        """Give one edge's units to every copy, one run of copies at a time.
+
+        A copy's choices read only its own Hop and whether the active
+        index has passed it, and the index passes copy j (copy 1 also
+        governs level 0) only by reading copy j's load, so no run depends
+        on a higher one.  `level` carries the index up the runs and
+        `reach` the unit at whose advance it got there: below `reach` the
+        index had not yet reached the run.  A copy that withholds a unit
+        leaves its Hop unchanged, and the index only rises here, so it
+        withholds every later unit of the edge as well.
+        """
         copies = self.copies
-        inserted = None
-        for j, copy in copies.items():
-            if copy is inserted:
-                # a higher member of a shared run: its lowest member took
-                # the edge, and with equal loads and a larger threshold it
-                # would have taken it too
-                continue
-            if j < active and min(copy.d_in(u) for u in verts) >= 2 * self.d_tilde(j):
-                if copies.get(j + 1) is copy:
-                    # the lowest member of a shared run withholds first:
-                    # fork it off with the state the run has so far
-                    copies[j] = copy.clone()
-                index = self._pending_at[j]
-                for v in verts:
-                    bucket = index.get(v)
-                    if bucket is None:
-                        index[v] = {handle: verts}
-                    else:
-                        bucket[handle] = verts
-            else:
-                copy.insert(handle, verts)
-                inserted = copy
+        num_copies = self.num_copies
+        level, reach = self.active, 0
+        j = 1
+        while j <= num_copies:
+            hop = copies[j]
+            top = j
+            while top < num_copies and copies[top + 1] is hop:
+                top += 1
+            load = hop.loads().__getitem__
+            low = j  # the run's lowest member still taking units
+            # the levels whose advance reads this run's Hop: copy i governs
+            # level i, and copy 1 also level 0; the top level has none
+            first, last = (0 if j == 1 else j), min(top, num_copies - 1)
+            for k, h in enumerate(handles):
+                while (
+                    first <= level <= last
+                    and k >= reach
+                    and hop.max_in_degree() >= 2 ** level
+                ):
+                    level += 1
+                    reach = k
+                while low < level and min(map(load, verts)) >= 2 ** low:
+                    if low < top:
+                        # the lowest member of a shared run withholds
+                        # first: fork it off with the state the run has
+                        copies[low] = hop.clone()
+                    rest = handles[k:]
+                    index = self._pending_at[low]
+                    for v in verts:
+                        bucket = index.get(v)
+                        if bucket is None:
+                            index[v] = dict.fromkeys(rest, verts)
+                        else:
+                            bucket.update(dict.fromkeys(rest, verts))
+                    low += 1
+                if low > top:
+                    break
+                hop.insert(h, verts)
+            j = top + 1
+        self.active = level
 
     def _unpend(self, j: int, handle: int, verts: EdgeVerts) -> None:
         """Drop a withheld handle from copy j's index."""
@@ -219,8 +248,7 @@ class Udshp:
         first = self._next_internal
         self._next_internal += units
         internals = range(first, first + units)
-        for ih in internals:
-            self._insert_internal(ih, verts)
+        self._insert_units(internals, verts)
         self._public[handle] = (verts, internals)
         return handle
 
@@ -240,7 +268,8 @@ class Udshp:
     def densest_subset(self) -> Set[int]:
         if not self._public:
             raise ValueError("densest-subset query on an empty structure")
-        return self.copies[self._query_copy_index()].query_subset()
+        q = self._query_copy_index()
+        return self.copies[q].query_subset(self._slacks[q])
 
     # -- invariant checks (test support) -------------------------------
 
@@ -250,8 +279,9 @@ class Udshp:
         A copy's Hop must hold only live internal handles, and its pending
         index must list, per vertex, exactly the live handles the Hop lacks
         that contain the vertex, each with its vertex set, in handle order,
-        with no empty bucket.  Each copy's Hop must have the copy's slack,
-        and copies sharing a Hop must be contiguous and withhold nothing.
+        with no empty bucket.  Each copy's Hop must decide as a Hop at the
+        copy's slack would, and copies sharing a Hop must be contiguous and
+        withhold nothing.
         With strict_above_active, copies above the active index must
         withhold nothing; that holds whenever the active index has never
         retreated past a copy with pending edges (e.g. insertion-only runs).
@@ -263,7 +293,9 @@ class Udshp:
         runs = [copy for j, copy in copies.items() if copies.get(j - 1) is not copy]
         assert len(set(map(id, runs))) == len(runs), "shared Hop not contiguous"
         for j, copy in copies.items():
-            assert copy.eta == self._slack(j), f"copy {j}: slack {copy.eta}"
+            assert copy.decides_alike(self._slacks[j]), (
+                f"copy {j}: a Hop at slack {copy.eta} decides unlike {self._slacks[j]}"
+            )
             index = self._pending_at[j]
             if copy is copies.get(j - 1) or copy is copies.get(j + 1):
                 assert not index, f"copy {j} shares its Hop but withholds edges"

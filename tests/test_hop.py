@@ -351,6 +351,74 @@ def test_clone_runs_in_lock_step(eta):
     check_all(h)
 
 
+def _decision_state(hop):
+    """Everything a Hop's later choices can read, apart from eta."""
+    heads = {k: hop.head_of(k) for k, _ in hop.edges()}
+    in_order = [[(vs, list(group.items())) for vs, group in groups.items()] for groups in hop._in]
+    return heads, in_order, hop._attach_seq, list(hop.loads())
+
+
+def _churn_lock_step(hops, seed):
+    """Drive the same bursts of repeated vertex sets through every Hop;
+    returns whether their decision states ever differed, and the count of
+    rotations the first Hop made."""
+    rng = random.Random(seed)
+    n = hops[0].n
+    pool = [tuple(sorted(rng.sample(range(n), rng.randint(2, 3)))) for _ in range(10)]
+    live = []
+    next_handle = rotations = 0
+    diverged = False
+    for _ in range(150):
+        if len(live) > 30 and rng.random() < 0.45:
+            ops = [("delete", live.pop(rng.randrange(len(live)))) for _ in range(rng.randint(1, 10))]
+        else:
+            verts = rng.choice(pool)
+            ops = [("insert", next_handle + i, verts) for i in range(rng.randint(1, 10))]
+            live.extend(next_handle + i for i in range(len(ops)))
+            next_handle += len(ops)
+        for op, *args in ops:
+            for hop in hops:
+                getattr(hop, op)(*args)
+            rotations += hops[0].last_rotations
+            states = [_decision_state(hop) for hop in hops]
+            diverged |= any(state != states[0] for state in states)
+    for hop in hops:
+        check_all(hop)
+    return diverged, rotations
+
+
+@pytest.mark.parametrize("etas", [(1.0, 1.051, 2.0), (2.1, 3.9)])
+def test_slacks_that_decide_alike_keep_identical_state(etas):
+    # below eta 4 a Hop reads eta only through ceil(eta/2): heads, In(v)
+    # order, attach sequence numbers and loads stay equal under churn
+    hops = [Hop(10, 0.4, eta) for eta in etas]
+    assert all(hops[0].decides_alike(eta) for eta in etas)
+    diverged, rotations = _churn_lock_step(hops, seed=8)
+    assert not diverged and rotations > 50
+
+
+def test_slacks_that_decide_unlike_diverge():
+    # the negative control: ceil(1.0/2) = 1, ceil(2.1/2) = 2
+    hops = [Hop(10, 0.4, 1.0), Hop(10, 0.4, 2.1)]
+    assert not hops[0].decides_alike(2.1)
+    diverged, _ = _churn_lock_step(hops, seed=8)
+    assert diverged
+
+
+@pytest.mark.parametrize("eta,other,alike", [
+    (1.0, 2.0, True),
+    (2.0, 2.1, False),
+    (2.1, 3.99, True),
+    (3.9, 4.0, False),   # the budgeted probe starts at eta 4
+    (4.0, 4.0, True),
+    (4.2, 4.3, False),
+    (6.0, 6.0, True),
+])
+def test_decides_alike(eta, other, alike):
+    assert Hop(4, 0.5, eta).decides_alike(other) is alike
+    assert Hop(4, 0.5, other).decides_alike(eta) is alike
+
+
 class TestQueries:
     def test_density_empty(self):
         h = Hop(4, 0.5, 2.0)

@@ -282,6 +282,25 @@ def test_cli_missing_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_unreadable_input_exits_2(tmp_path, capsys):
+    # a directory where the events file should be
+    argv = ["--input", str(tmp_path), "--algo", "greedy", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["blocker", "blocker/out"])
+def test_cli_out_blocked_by_a_file_exits_3_before_the_replay(out, tmp_path, capsys, monkeypatch):
+    (tmp_path / "blocker").write_text("")
+    monkeypatch.setattr(cli, "run_stream", lambda *a: pytest.fail("replay ran"))
+    argv = ["--input", str(FIXTURES / "mini"), "--format", "benson",
+            "--algo", "greedy", "--out", str(tmp_path / out)]
+    assert cli.main(argv) == 3
+    assert "config error" in capsys.readouterr().err
+    assert (tmp_path / "blocker").read_text() == ""
+
+
 @pytest.mark.parametrize("flags", [
     ["--dup-constant", "-1"],
     ["--dup-constant", "nan"],
