@@ -10,8 +10,7 @@ Each fact lives in one place: the public table maps a handle to its
 vertex set and the contiguous range of internal handles behind it, and
 a copy's Hop records which internal handles the copy holds.  A copy
 withholds exactly the live internal handles its Hop lacks.  Only copies
-below the active index withhold edges, so the top copy holds every live
-internal handle.
+below the active index withhold edges.
 
 Each copy indexes its withheld edges by vertex: per vertex, the withheld
 handles containing it, each with its vertex set, in withhold order, with
@@ -27,16 +26,33 @@ delete serves them all.  Each copy keeps its own slack, computed once,
 for its subset query, the only answer that reads eta itself.  Sharing is
 exact: a Hop's choices depend only on how its slack decides and on its
 operations, and a copy that has never withheld an edge has received
-every operation, with no pending edge to swap in.  Sharing copies form a
-contiguous run, and only its lowest member can withhold, since it has
-the smallest threshold over the same loads.  When it first does, it
-forks: it takes a clone of the run's Hop and goes on alone.  A copy
-never rejoins a run.
+every operation its run's Hop has, with no pending edge to swap in.
+Sharing copies form a contiguous run, and only its lowest member can
+withhold, since it has the smallest threshold over the same loads.  When
+it first does, it forks: it takes a clone of the run's Hop and goes on
+alone.  A copy never rejoins a run.
 
 An insert walks the runs upward, each through all of the edge's units,
 rather than each unit through all copies, and a copy that withholds a
 unit takes the rest of the edge into its pending index in one step
 (``_insert_units`` says why this is exact).  Deletes go unit by unit.
+
+A run of copies is built only when an insert first carries the active
+index to the run's lowest copy (copy 1's run is built with the
+structure): a fresh Hop at the run's slack takes every live unit in
+handle order, and the run is built whole.  Until then nothing reads the
+run: only copies at or below the index withhold units, answer queries or
+move the index.  This is exact.  A copy above every index reached so far
+has never withheld a unit, so in an insert-only stream it has received
+exactly the live units in handle order, and the built Hop is the one it
+would have had, attach sequence numbers included; since runs are built
+whole, sharing and forking are unchanged.  After deletes the built Hop
+is a valid HOP over the live units, though not the one a Hop that had
+seen the deletes would hold, so answers can differ only from the update
+that first reaches the run on, and the density analysis holds for any
+valid HOP state.  Each run is built at most once, so the Hop work never
+exceeds that of building every run up front, but the update that first
+reaches a run pays for replaying every live unit into it.
 """
 
 from __future__ import annotations
@@ -59,6 +75,11 @@ class Udshp:
     matches the conservative analysis constant).  ``insert(verts, c)``
     adds c unit copies of one edge under one handle, which is how an
     integer weight c enters a unit-weight structure.
+
+    ``copies`` holds the built copies only, 1 up to the top of the
+    highest built run.  A run is built from the live units when the
+    active index first reaches it, which the module docstring shows to be
+    exact, and the update that does so pays for the build.
     """
 
     def __init__(
@@ -88,24 +109,19 @@ class Udshp:
         self.num_copies = max(math.ceil(math.log2(m_bound * self.dup)), 1)
         self.slack_constant = slack_constant
         self._slacks = {i: self._slack(i) for i in range(1, self.num_copies + 1)}
-        # copies whose slacks decide alike share one Hop until one of them
-        # forks
+        # the built copies, 1 up to the top of the highest built run; copies
+        # whose slacks decide alike share one Hop until one of them forks
         self.copies: Dict[int, Hop] = {}
-        hop = None
-        for i, eta in self._slacks.items():
-            if hop is None or not hop.decides_alike(eta):
-                hop = Hop(n, epsilon, eta)
-            self.copies[i] = hop
+        # per built copy: vertex -> {withheld handle containing it: its
+        # vertex set}, in withhold order
+        self._pending_at: Dict[int, Dict[int, Dict[int, EdgeVerts]]] = {}
         self.active = 0
-        # per copy: vertex -> {withheld handle containing it: its vertex
-        # set}, in withhold order
-        self._pending_at: Dict[int, Dict[int, Dict[int, EdgeVerts]]] = {
-            i: {} for i in self.copies
-        }
         # public handle -> (vertex set, its internal handles)
         self._public: Dict[int, Tuple[EdgeVerts, range]] = {}
         self._next_public = 0
         self._next_internal = 0
+        self._live_units = 0
+        self._build_run(1)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -117,16 +133,12 @@ class Udshp:
         return handle in self._public
 
     def live_internal_count(self) -> int:
-        # the top copy is never below the active index, so it withholds nothing
-        return len(self.copies[self.num_copies])
-
-    def d_tilde(self, i: int) -> int:
-        return 2 ** (i - 1)
+        return self._live_units
 
     def _slack(self, i: int) -> float:
         """Copy i's Hop slack: the analysis formula, clamped to at least 1."""
         eps2 = self.epsilon * self.epsilon
-        eta = eps2 * self.d_tilde(i) / (self.slack_constant * log2c(self.n))
+        eta = eps2 * 2 ** (i - 1) / (self.slack_constant * log2c(self.n))
         # slack below 1 cannot govern integral loads (the duplication factor
         # is what makes the active copy's slack meaningful at the analysis
         # scale)
@@ -146,8 +158,25 @@ class Udshp:
 
     # -- internal fan-out ----------------------------------------------
 
+    def _build_run(self, j: int) -> None:
+        """Build copy j and the copies above it whose slacks decide alike.
+
+        The run's one Hop takes every live unit in handle order: had it
+        existed from the start with no unit ever deleted, a copy the index
+        never reached would have taken just these, since it withholds
+        nothing.  This costs one Hop insert per live unit.
+        """
+        hop = Hop(self.n, self.epsilon, self._slacks[j])
+        for verts, internals in self._public.values():
+            for ih in internals:
+                hop.insert(ih, verts)
+        while j <= self.num_copies and hop.decides_alike(self._slacks[j]):
+            self.copies[j] = hop
+            self._pending_at[j] = {}
+            j += 1
+
     def _insert_units(self, handles: range, verts: EdgeVerts) -> None:
-        """Give one edge's units to every copy, one run of copies at a time.
+        """Give one edge's units to every built copy, one run at a time.
 
         A copy's choices read only its own Hop and whether the active
         index has passed it, and the index passes copy j (copy 1 also
@@ -156,16 +185,23 @@ class Udshp:
         `reach` the unit at whose advance it got there: below `reach` the
         index had not yet reached the run.  A copy that withholds a unit
         leaves its Hop unchanged, and the index only rises here, so it
-        withholds every later unit of the edge as well.
+        withholds every later unit of the edge as well.  An unbuilt run is
+        built when `level` has reached its lowest copy, before it takes
+        any unit of the edge; if `level` stops below it, that run and every
+        run above it would only take the units, so the walk stops there.
         """
         copies = self.copies
         num_copies = self.num_copies
         level, reach = self.active, 0
         j = 1
         while j <= num_copies:
+            if j not in copies:
+                if level < j:
+                    break  # no index has reached this run or any above it
+                self._build_run(j)
             hop = copies[j]
             top = j
-            while top < num_copies and copies[top + 1] is hop:
+            while copies.get(top + 1) is hop:
                 top += 1
             load = hop.loads().__getitem__
             low = j  # the run's lowest member still taking units
@@ -250,12 +286,14 @@ class Udshp:
         internals = range(first, first + units)
         self._insert_units(internals, verts)
         self._public[handle] = (verts, internals)
+        self._live_units += units
         return handle
 
     def delete(self, handle: int) -> None:
         if handle not in self._public:
             raise ValueError(f"unknown edge handle {handle}")
         verts, internals = self._public.pop(handle)
+        self._live_units -= len(internals)
         for ih in internals:
             self._delete_internal(ih, verts)
 
@@ -281,7 +319,9 @@ class Udshp:
         that contain the vertex, each with its vertex set, in handle order,
         with no empty bucket.  Each copy's Hop must decide as a Hop at the
         copy's slack would, and copies sharing a Hop must be contiguous and
-        withhold nothing.
+        withhold nothing.  The built copies must be 1 up to the top of a
+        whole run, with the active index below the first unbuilt copy, and
+        the live unit count must match the public table.
         With strict_above_active, copies above the active index must
         withhold nothing; that holds whenever the active index has never
         retreated past a copy with pending edges (e.g. insertion-only runs).
@@ -289,7 +329,15 @@ class Udshp:
         live = {
             ih: verts for verts, internals in self._public.values() for ih in internals
         }
+        assert self._live_units == len(live), "live unit count diverged"
         copies = self.copies
+        built = len(copies)
+        assert list(copies) == list(self._pending_at) == list(range(1, built + 1))
+        assert self.active <= built
+        if built < self.num_copies:
+            assert not copies[built].decides_alike(self._slacks[built + 1]), (
+                f"copy {built + 1} is unbuilt but decides like its run"
+            )
         runs = [copy for j, copy in copies.items() if copies.get(j - 1) is not copy]
         assert len(set(map(id, runs))) == len(runs), "shared Hop not contiguous"
         for j, copy in copies.items():

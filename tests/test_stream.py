@@ -246,7 +246,8 @@ MINI_GOLDEN = {
         b"2003,0.850000,1.000000,15.000000,1,1,0.000000,0.000000\r\n",
     ),
     # the analysis constants: dup 7353, the four top copies at eta >= 4,
-    # where the insert probe's budget can fall short of In(v)
+    # where the insert probe's budget can fall short of In(v); the index
+    # reaches copy 13, so the lowest of the four is the only one built
     "udshp-default": (
         ["--algo", "udshp"],
         _CSV_HEADER

@@ -30,12 +30,24 @@ def test_dup_floor_is_one():
 
 
 def test_first_edge_lands_in_all_copies():
-    u = Udshp(6, m_bound=8, r=3, epsilon=0.5, dup_constant=0.0)
-    u.insert((0, 1, 2))
-    for j, copy in u.copies.items():
-        assert len(copy) == 1, f"copy {j} missing the edge"
-        assert not u._pending_at[j]
-    u.check_wrapper_invariants()
+    # every built copy takes the first edge; at the default slack constant
+    # every slack is clamped to 1, so one run spans every copy and is built
+    # with the structure, while at slack constant 0.25 copies 4 (eta 3.1),
+    # 5 and 6 form runs of their own, which the index (0 until an insert
+    # reads a load) has not reached
+    for slack_constant, built in ((32.0, 6), (0.25, 3)):
+        u = Udshp(6, m_bound=64, r=3, epsilon=0.5, dup_constant=0.0,
+                  slack_constant=slack_constant)
+        assert u.num_copies == 6
+        u.insert((0, 1, 2))
+        assert u.active == 0
+        assert list(u.copies) == list(range(1, built + 1))
+        for j, copy in u.copies.items():
+            assert len(copy) == 1, f"built copy {j} missing the edge"
+            assert not u._pending_at[j]
+        assert len({id(copy) for copy in u.copies.values()}) == 1
+        u.check_wrapper_invariants()
+    assert not u.copies[3].decides_alike(u._slacks[4])
 
 
 def test_single_pair_edge_with_dup_8():
@@ -309,24 +321,40 @@ def test_window_churn_stream_is_pinned(monkeypatch):
 class _UnitByUnit(Udshp):
     """The reference insert: every unit in turn, through every copy.
 
-    The active index advances before each unit, and each copy then
-    withholds the unit or inserts it; a higher member of a shared run
-    skips a unit its lowest member inserted.  Counts in `seen` which
-    cases a stream reached.
+    The active index advances before each unit, building each run it
+    reaches, and each built copy then withholds the unit or inserts it; a
+    higher member of a shared run skips a unit its lowest member inserted.
+    Counts in `seen` which cases a stream reached.
     """
+
+    # the units of the edge being inserted that every built copy has taken
+    _taken = range(0)
+    _taken_verts = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.seen = collections.Counter()
 
+    def _build_run(self, j):
+        # a run the index reaches mid-edge has taken the edge's earlier
+        # units too, since no copy of it was below the index
+        super()._build_run(j)
+        hop = self.copies[j]
+        for ih in self._taken:
+            hop.insert(ih, self._taken_verts)
+        if self._taken:
+            self.seen["run built mid-edge"] += 1
+
     def _advance_active(self):
         start = self.active
-        while self.active < self.num_copies:
+        while True:
             probe = max(self.active, 1)
-            if self.copies[probe].max_in_degree() >= 2 ** self.active:
-                self.active += 1
-            else:
+            if probe not in self.copies:
+                self._build_run(probe)
+            if (self.active == self.num_copies
+                    or self.copies[probe].max_in_degree() < 2 ** self.active):
                 break
+            self.active += 1
         if self.active - start >= 2:
             self.seen["cascade within one unit"] += 1
 
@@ -338,7 +366,7 @@ class _UnitByUnit(Udshp):
         for j, copy in copies.items():
             if copy is inserted:
                 continue
-            if j < active and min(copy.d_in(u) for u in verts) >= 2 * self.d_tilde(j):
+            if j < active and min(copy.d_in(u) for u in verts) >= 2 ** j:
                 if copies.get(j + 1) is copy:
                     copies[j] = copy.clone()
                     if k > 0:
@@ -361,8 +389,11 @@ class _UnitByUnit(Udshp):
         if self.active == 0:
             self.seen["start at active 0"] += 1
         withholding = set()
+        self._taken_verts = verts
         for k, ih in enumerate(handles):
+            self._taken = handles[:k]
             self._insert_internal(ih, verts, k, withholding)
+        self._taken = range(0)
 
 
 def _pending_order(u):
@@ -409,30 +440,44 @@ def test_run_by_run_insert_matches_unit_by_unit():
         runs.check_wrapper_invariants(strict_above_active=False)
     assert set(units.seen) == {
         "cascade within one unit", "fork mid-edge", "unshared withhold from k > 0",
-        "start at active 0",
+        "start at active 0", "run built mid-edge",
     }, units.seen
+
+
+class _Unshared(Udshp):
+    """Builds each copy of a run with a Hop of its own, at its own slack."""
+
+    def _build_run(self, j):
+        super()._build_run(j)
+        run = self.copies[j]
+        while self.copies.get(j) is run:
+            hop = self.copies[j] = Hop(self.n, self.epsilon, self._slacks[j])
+            for verts, internals in self._public.values():
+                for ih in internals:
+                    hop.insert(ih, verts)
+            j += 1
 
 
 @pytest.mark.parametrize("dup_constant,slack_constant", [(0.0, 32.0), (0.05, 1.0)])
 def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monkeypatch):
     # copies whose slacks decide alike share one Hop until one of them
     # withholds; a twin whose copies each own a Hop at their own slack from
-    # the start must stay in lock-step through grow/shrink churn with
-    # withholds, swap-ins and retreats.  At dup 9 the small slack constant
-    # leaves the top copies unclamped: copy 7 (eta 1.17) shares the slack-1
-    # run's Hop, and the three above it have a Hop each, two of them at
-    # eta >= 4 (a budgeted insert probe)
+    # the moment their run is built must stay in lock-step through
+    # grow/shrink churn with withholds, swap-ins and retreats.  At dup 9 the
+    # small slack constant leaves the top copies unclamped: copy 7 (eta
+    # 1.17) shares the slack-1 run's Hop, and the three above it (eta 2.3,
+    # 4.7 and 9.4) are runs of their own that the index, at most 7 here,
+    # never reaches, so they are never built
     args = dict(n=30, m_bound=100, r=3, epsilon=0.3, dup_constant=dup_constant,
                 slack_constant=slack_constant)
-    shared, reference = Udshp(**args), Udshp(**args)
+    shared, reference = Udshp(**args), _Unshared(**args)
     assert shared.dup == (1 if dup_constant == 0.0 else 9)
-    for j in reference.copies:
-        reference.copies[j] = Hop(args["n"], args["epsilon"], reference._slack(j))
     hops = len({id(copy) for copy in shared.copies.values()})
-    assert hops < shared.num_copies
+    assert hops < len(shared.copies)
     if dup_constant:
         assert shared.copies[7] is shared.copies[1] and shared._slacks[7] > 1.0
-    assert len({id(copy) for copy in reference.copies.values()}) == shared.num_copies
+        assert list(shared.copies) == list(range(1, 8))
+    assert len({id(copy) for copy in reference.copies.values()}) == len(reference.copies)
     deleting = False
     swap_ins = 0
     insert = Hop.insert
@@ -467,3 +512,100 @@ def test_shared_copies_match_unshared_copies(dup_constant, slack_constant, monke
             shared.check_wrapper_invariants(strict_above_active=False)
     forked = len({id(copy) for copy in shared.copies.values()})
     assert forked > hops and retreats >= 10 and swap_ins >= 100
+    # at dup 1 the copies are 1-7, all of them in one run
+    assert list(shared.copies) == list(reference.copies) == list(range(1, 8))
+
+
+def _hop_decisions(hop):
+    """Everything a Hop's later choices can read, apart from eta."""
+    heads = {k: hop.head_of(k) for k, _ in hop.edges()}
+    in_order = [[(vs, list(group.items())) for vs, group in groups.items()] for groups in hop._in]
+    return heads, in_order, hop._attach_seq, list(hop.loads())
+
+
+class _Eager(Udshp):
+    """Builds every run with the structure."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for j in range(2, self.num_copies + 1):
+            if j not in self.copies:
+                self._build_run(j)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_runs_built_on_first_reach_match_runs_built_up_front(seed):
+    # insert-only: a run built when the index first reaches it holds the
+    # state it would have had had it been built with the structure, attach
+    # sequence numbers included.  The small slack constant leaves copies 5-12
+    # unclamped (eta 1.1 to 142), each from copy 6 on a run of its own
+    args = dict(n=20, m_bound=400, r=3, epsilon=0.3, dup_constant=0.05,
+                slack_constant=0.3)
+    lazy, eager = Udshp(**args), _Eager(**args)
+    assert list(lazy.copies) == list(range(1, 6))
+    assert len(eager.copies) == eager.num_copies == 12
+    built = []  # (copy, live units) at each build
+    build = lazy._build_run
+
+    def counted(j):
+        built.append((j, lazy.live_internal_count()))
+        build(j)
+
+    lazy._build_run = counted
+    rng = random.Random(seed)
+    for _ in range(150):
+        core = rng.random() < 0.5
+        verts = rng.sample(range(5 if core else args["n"]), rng.randint(2, 3))
+        c = rng.randint(1, 2)
+        lazy.insert(verts, c)
+        eager.insert(verts, c)
+        assert lazy.active == eager.active
+        lazy_pending, eager_pending = _pending_order(lazy), _pending_order(eager)
+        for j, copy in lazy.copies.items():
+            twin = eager.copies[j]
+            assert _hop_decisions(copy) == _hop_decisions(twin), f"copy {j}"
+            assert (copy is lazy.copies.get(j + 1)) == (twin is eager.copies.get(j + 1))
+            assert lazy_pending[j] == eager_pending[j]
+        assert lazy.max_density() == eager.max_density()
+        assert lazy.densest_subset() == eager.densest_subset()
+        lazy.check_wrapper_invariants()
+    assert sum(live > 0 for _, live in built) >= 2, built
+    assert len(lazy.copies) < lazy.num_copies
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_runs_built_after_deletes_hold_every_live_unit(seed):
+    # the live count grows in phases of 12, 25 and 50 edges with a fall to 3
+    # between them, so the index reaches runs that no earlier phase
+    # reached, and builds them after deletes: from the live units alone,
+    # which the built run then holds in full.  The density sandwich is not
+    # checked here: a retreat can leave the query copy withholding edges
+    n = 12
+    u = Udshp(n, m_bound=60, r=3, epsilon=0.3, dup_constant=0.2, slack_constant=0.3)
+    assert u.dup == 24
+    deletes = 0
+    after_deletes = []
+    build = u._build_run
+
+    def checked(j):
+        build(j)
+        live = {ih for _, internals in u._public.values() for ih in internals}
+        assert {h for h, _ in u.copies[j].edges()} == live
+        assert all(not u._pending_at[i] for i in range(j, len(u.copies) + 1))
+        if deletes:
+            after_deletes.append(j)
+
+    u._build_run = checked
+    rng = random.Random(seed)
+    window = collections.deque()
+    for target in (12, 3, 25, 3, 50, 3):
+        for _ in range(60):
+            if len(window) < target:
+                core = rng.random() < 0.6
+                verts = rng.sample(range(5 if core else n), rng.randint(2, 3))
+                window.append(u.insert(verts))
+            if len(window) > target or (len(window) > 1 and rng.random() < 0.3):
+                u.delete(window.popleft())
+                deletes += 1
+            u.check_wrapper_invariants(strict_above_active=False)
+    assert after_deletes
