@@ -53,17 +53,44 @@ that first reaches the run on, and the density analysis holds for any
 valid HOP state.  Each run is built at most once, so the Hop work never
 exceeds that of building every run up front, but the update that first
 reaches a run pays for replaying every live unit into it.
+
+The runs below the index are kept only so that the index can fall back
+onto them after deletes, so a copy that owns its Hop and lies two or more
+below the index is deferred: it takes no update until a retreat reaches
+it.  The structure logs the updates from the oldest deferred copy's
+position on (an insert as its unit range, a delete as one entry per unit,
+since a retreat can reach a copy between two units of a delete), and
+when the index falls onto a deferred copy, the copy replays the log
+before it is read.  This is exact.  A copy below the index makes every
+choice from its own Hop and pending index alone: an insert takes units
+until every member's load is at least 2**j and withholds the rest of the
+edge, and a delete unpends the unit or deletes it and swaps in the first
+withheld edge at the head.  Nothing else reads it: queries read the copy
+at the index, an insert moves the index only by reading copies at or
+above it, and a retreat reads each copy it falls onto, which it has
+caught up first.  So the replay makes the choices the copy would have
+made, in the same order.  Copies that share a run's Hop are never
+deferred, nor are runs above the index.  A copy is deferred at two below
+rather than one because an index that moves between two adjacent levels
+would otherwise catch up the lower one at every fall; at two below such
+an oscillation never reaches a deferred copy.  A deferred copy's work is
+not saved if the index falls back to it: the retreat that reaches it
+pays for replaying every update since it was deferred.  In an
+insert-only stream no copy is ever caught up.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .hop import Hop
 from .model import EdgeVerts, canonical_edge, log2c
 
 DUPLICATION_CONSTANT = 64.0
+# a copy that owns its Hop is deferred once it lies this many levels below
+# the active index (the module docstring says why not one)
+DEFER_BELOW = 2
 
 
 class Udshp:
@@ -79,7 +106,11 @@ class Udshp:
     ``copies`` holds the built copies only, 1 up to the top of the
     highest built run.  A run is built from the live units when the
     active index first reaches it, which the module docstring shows to be
-    exact, and the update that does so pays for the build.
+    exact, and the update that does so pays for the build.  A copy that
+    owns its Hop and lies two or more below the index is deferred: its
+    Hop and pending index stand still until the index falls onto it, and
+    that retreat pays for replaying the updates it missed.  ``stats()``
+    counts the deferrals and replays.
     """
 
     def __init__(
@@ -121,6 +152,13 @@ class Udshp:
         self._next_public = 0
         self._next_internal = 0
         self._live_units = 0
+        # deferred copy -> the first log entry it has not taken; the log holds
+        # (insert?, units, vertex set) from the oldest deferred copy's
+        # position on: an insert's unit range, or one deleted unit
+        self._deferred: Dict[int, int] = {}
+        self._log: List[Tuple[bool, Union[range, int], EdgeVerts]] = []
+        self._catch_ups = 0
+        self._replayed = 0
         self._build_run(1)
 
     # -- bookkeeping ---------------------------------------------------
@@ -150,11 +188,58 @@ class Udshp:
     # -- active index maintenance --------------------------------------
 
     def _retreat_active(self) -> None:
+        """Lower the index while its copy is at most half full.
+
+        A deferred copy the index falls onto is caught up before it is
+        read, so this retreat pays for its replay.
+        """
         while (
             self.active >= 1
             and self.copies[self.active].max_in_degree() <= 2 ** (self.active - 1)
         ):
             self.active -= 1
+            if self.active in self._deferred:
+                self._catch_up(self.active)
+
+    # -- deferred copies -----------------------------------------------
+
+    def _catch_up(self, j: int) -> None:
+        """Replay into deferred copy j the logged updates it has not taken.
+
+        Each is applied as ``_insert_units`` and ``_delete_internal`` apply
+        it to a copy below the index: an insert takes units until every
+        member's load is at least 2**j and withholds the rest of the edge,
+        and a delete unpends the unit or deletes it and swaps in the first
+        withheld edge at the head.
+        """
+        log = self._log
+        deferred = self._deferred
+        start = deferred.pop(j)
+        copy = self.copies[j]
+        load = copy.loads().__getitem__
+        full = 2 ** j
+        for inserting, units, verts in log[start:]:
+            if not inserting:
+                self._delete_from(j, copy, units, verts, True)
+                continue
+            for k, h in enumerate(units):
+                if min(map(load, verts)) >= full:
+                    self._withhold(j, units[k:], verts)
+                    break
+                copy.insert(h, verts)
+        self._catch_ups += 1
+        self._replayed += len(log) - start
+        # keep the log from the oldest deferred copy's position on
+        oldest = min(deferred.values(), default=len(log))
+        if oldest:
+            del log[:oldest]
+            for i in deferred:
+                deferred[i] -= oldest
+
+    def _catch_up_all(self) -> None:
+        """Catch every deferred copy up, so that each copy's state is current."""
+        for j in list(self._deferred):
+            self._catch_up(j)
 
     # -- internal fan-out ----------------------------------------------
 
@@ -191,10 +276,18 @@ class Udshp:
         run above it would only take the units, so the walk stops there.
         """
         copies = self.copies
+        log = self._log
+        deferred = self._deferred
+        entry = (True, handles, verts)
+        if deferred:
+            log.append(entry)
         num_copies = self.num_copies
         level, reach = self.active, 0
         j = 1
         while j <= num_copies:
+            if j in deferred:
+                j += 1
+                continue
             if j not in copies:
                 if level < j:
                     break  # no index has reached this run or any above it
@@ -203,6 +296,14 @@ class Udshp:
             top = j
             while copies.get(top + 1) is hop:
                 top += 1
+            if top == j and j + DEFER_BELOW <= level:
+                # a copy of its own far enough below the index: this update
+                # and the later ones wait in the log for a retreat to reach it
+                if not deferred:
+                    log.append(entry)
+                deferred[j] = len(log) - 1
+                j += 1
+                continue
             load = hop.loads().__getitem__
             low = j  # the run's lowest member still taking units
             # the levels whose advance reads this run's Hop: copy i governs
@@ -221,20 +322,23 @@ class Udshp:
                         # the lowest member of a shared run withholds
                         # first: fork it off with the state the run has
                         copies[low] = hop.clone()
-                    rest = handles[k:]
-                    index = self._pending_at[low]
-                    for v in verts:
-                        bucket = index.get(v)
-                        if bucket is None:
-                            index[v] = dict.fromkeys(rest, verts)
-                        else:
-                            bucket.update(dict.fromkeys(rest, verts))
+                    self._withhold(low, handles[k:], verts)
                     low += 1
                 if low > top:
                     break
                 hop.insert(h, verts)
             j = top + 1
         self.active = level
+
+    def _withhold(self, j: int, rest: range, verts: EdgeVerts) -> None:
+        """Add the units `rest` of one edge to copy j's pending index."""
+        index = self._pending_at[j]
+        for v in verts:
+            bucket = index.get(v)
+            if bucket is None:
+                index[v] = dict.fromkeys(rest, verts)
+            else:
+                bucket.update(dict.fromkeys(rest, verts))
 
     def _unpend(self, j: int, handle: int, verts: EdgeVerts) -> None:
         """Drop a withheld handle from copy j's index."""
@@ -245,27 +349,42 @@ class Udshp:
             if not bucket:
                 del index[v]
 
+    def _delete_from(
+        self, j: int, copy: Hop, handle: int, verts: EdgeVerts, swap: bool
+    ) -> bool:
+        """Remove one unit from copy j; returns whether its Hop held the unit.
+
+        With `swap` (copy j at or below the index), deleting frees capacity
+        at the copy's head vertex, and the first withheld edge containing
+        that head, if any, is pulled in.
+        """
+        index = self._pending_at[j]
+        if handle in index.get(verts[0], ()):
+            self._unpend(j, handle, verts)
+            return False
+        head = copy.delete(handle)
+        if swap:
+            bucket = index.get(head)
+            if bucket is not None:
+                swapped, swapped_verts = next(iter(bucket.items()))
+                self._unpend(j, swapped, swapped_verts)
+                copy.insert(swapped, swapped_verts)
+        return True
+
     def _delete_internal(self, handle: int, verts: EdgeVerts) -> None:
         self._retreat_active()
         active = self.active
+        deferred = self._deferred
+        if deferred:
+            self._log.append((False, handle, verts))
         deleted = None
         for j, copy in self.copies.items():
-            if handle in self._pending_at[j].get(verts[0], ()):
-                self._unpend(j, handle, verts)
+            if j in deferred:
                 continue
             if copy is deleted:
                 continue  # a shared Hop, already done; shared copies withhold nothing
-            head = copy.delete(handle)
-            deleted = copy
-            if j > active:
-                continue
-            # deleting freed capacity at this copy's head vertex: pull in the
-            # first withheld edge containing that head, if any
-            bucket = self._pending_at[j].get(head)
-            if bucket is not None:
-                swap, swap_verts = next(iter(bucket.items()))
-                self._unpend(j, swap, swap_verts)
-                copy.insert(swap, swap_verts)
+            if self._delete_from(j, copy, handle, verts, j <= active):
+                deleted = copy
 
     # -- public operations ---------------------------------------------
 
@@ -309,6 +428,20 @@ class Udshp:
         q = self._query_copy_index()
         return self.copies[q].query_subset(self._slacks[q])
 
+    def stats(self) -> Dict[str, int]:
+        """Deferral counters.
+
+        ``deferred`` copies deferred now; ``catch_ups`` and ``replayed`` the
+        catch-ups and the log entries they replayed so far; ``log`` the log's
+        current length.
+        """
+        return {
+            "deferred": len(self._deferred),
+            "catch_ups": self._catch_ups,
+            "replayed": self._replayed,
+            "log": len(self._log),
+        }
+
     # -- invariant checks (test support) -------------------------------
 
     def check_wrapper_invariants(self, strict_above_active: bool = True) -> None:
@@ -325,12 +458,26 @@ class Udshp:
         With strict_above_active, copies above the active index must
         withhold nothing; that holds whenever the active index has never
         retreated past a copy with pending edges (e.g. insertion-only runs).
+        Each deferred copy must own its Hop and lie below the index, the log
+        must start at the oldest deferred copy's position and be empty when
+        no copy is deferred; the copies are then caught up and checked.
         """
+        copies = self.copies
+        for j, start in self._deferred.items():
+            assert copies.get(j - 1) is not copies[j] is not copies.get(j + 1), (
+                f"deferred copy {j} shares its Hop"
+            )
+            assert j < self.active, f"deferred copy {j} at or above active={self.active}"
+            assert 0 <= start <= len(self._log), f"copy {j}: log position {start}"
+        assert min(self._deferred.values(), default=0) == 0, (
+            "log holds entries no deferred copy needs"
+        )
+        assert self._deferred or not self._log, "log kept with no copy deferred"
+        self._catch_up_all()
         live = {
             ih: verts for verts, internals in self._public.values() for ih in internals
         }
         assert self._live_units == len(live), "live unit count diverged"
-        copies = self.copies
         built = len(copies)
         assert list(copies) == list(self._pending_at) == list(range(1, built + 1))
         assert self.active <= built

@@ -13,6 +13,7 @@ from dynadense.udshp import Udshp
 
 def _withheld(u, j):
     """Copy j's withheld (handle, vertex set) pairs, in handle order."""
+    u._catch_up_all()
     index = u._pending_at[j]
     return sorted({h: vs for bucket in index.values() for h, vs in bucket.items()}.items())
 
@@ -197,6 +198,7 @@ def test_mixed_run_sandwich_and_invariants():
 
 def _udshp_state(u):
     """Everything an insert or delete can change, per Hop copy."""
+    u._catch_up_all()
     return u.active, {
         j: (
             {h: copy.head_of(h) for h, _ in copy.edges()},
@@ -284,6 +286,7 @@ def test_window_churn_stream_is_pinned(monkeypatch):
     swap_ins = 0
 
     insert = Hop.insert
+    delete_from = Udshp._delete_from
 
     def counted(hop, handle, verts):
         # on the class, so copies forked off later are counted too
@@ -291,7 +294,18 @@ def test_window_churn_stream_is_pinned(monkeypatch):
         swap_ins += deleting
         insert(hop, handle, verts)
 
+    def deleting_from(*args):
+        # a swap-in is an insert made by a copy's delete, whether the delete
+        # runs in the update or in a deferred copy's catch-up
+        nonlocal deleting
+        deleting = True
+        try:
+            return delete_from(*args)
+        finally:
+            deleting = False
+
     monkeypatch.setattr(Hop, "insert", counted)
+    monkeypatch.setattr(Udshp, "_delete_from", deleting_from)
     window = collections.deque()
     retreats = top = 0
     digest = hashlib.sha256()
@@ -304,9 +318,7 @@ def test_window_churn_stream_is_pinned(monkeypatch):
                 top = max(top, u.active)
             if len(window) > target or (len(window) > 1 and rng.random() < 0.3):
                 before = u.active
-                deleting = True
                 u.delete(window.popleft())
-                deleting = False
                 retreats += u.active < before
             pending = [[h for h, _ in _withheld(u, j)] for j in u.copies]
             state = (u.active, u.max_density(), sorted(u.densest_subset()), pending)
@@ -316,6 +328,7 @@ def test_window_churn_stream_is_pinned(monkeypatch):
         "31c34ba9dc444a1be86aa165ce67b8e0a2964e23bf946f90a2d946fe2da7bcec"
     )
     assert top >= 7 and retreats >= 15 and swap_ins >= 8000, swap_ins
+    assert swap_ins == 10437
 
 
 class _UnitByUnit(Udshp):
@@ -397,6 +410,7 @@ class _UnitByUnit(Udshp):
 
 
 def _pending_order(u):
+    u._catch_up_all()
     return {j: {v: list(bucket.items()) for v, bucket in index.items()}
             for j, index in u._pending_at.items()}
 
@@ -609,3 +623,109 @@ def test_runs_built_after_deletes_hold_every_live_unit(seed):
                 deletes += 1
             u.check_wrapper_invariants(strict_above_active=False)
     assert after_deletes
+
+
+class _CatchUpEveryStep(Udshp):
+    """Catches every deferred copy up after each update, so none lags."""
+
+    def insert(self, vertices, copies=1):
+        handle = super().insert(vertices, copies)
+        self._catch_up_all()
+        return handle
+
+    def delete(self, handle):
+        super().delete(handle)
+        self._catch_up_all()
+
+
+@pytest.mark.parametrize("dup_constant,seed", [(0.0, 6), (0.05, 3)])
+def test_deferred_copies_match_copies_caught_up_every_step(dup_constant, seed):
+    # grow/shrink churn whose live count swings 120 <-> 8, with counted
+    # inserts: the copies two or more below the index are deferred and
+    # caught up when a retreat reaches them, or here every 25 steps, so a
+    # replay spans many updates; the twin catches up after every update.
+    # A retreat over two levels in one delete is rare, and each seed is
+    # one whose stream makes one
+    args = dict(n=30, m_bound=400, r=3, epsilon=0.3, dup_constant=dup_constant)
+    lazy, eager = Udshp(**args), _CatchUpEveryStep(**args)
+    assert lazy.dup == (1 if dup_constant == 0.0 else 9)
+    replays = []  # log entries each catch-up of `lazy` replayed
+    catch_up = lazy._catch_up
+
+    def recorded(j):
+        replays.append(len(lazy._log) - lazy._deferred[j])
+        catch_up(j)
+
+    lazy._catch_up = recorded
+    rng = random.Random(seed)
+    window = collections.deque()
+    multi_level = deferred = 0
+    step = 0
+    for target in (120, 8) * 2:
+        for _ in range(110):
+            if len(window) < target:
+                core = rng.random() < 0.6
+                verts = rng.sample(range(8 if core else args["n"]), rng.randint(2, 3))
+                c = rng.randint(1, 3)
+                if len(lazy) + c <= args["m_bound"]:
+                    window.append((lazy.insert(verts, c), eager.insert(verts, c)))
+                deferred = max(deferred, lazy.stats()["deferred"])
+            if len(window) > target or (len(window) > 1 and rng.random() < 0.3):
+                hl, he = window.popleft()
+                before = lazy.active
+                lazy.delete(hl)
+                eager.delete(he)
+                multi_level += before - lazy.active >= 2
+            assert lazy.active == eager.active
+            assert lazy.max_density() == eager.max_density()
+            if len(lazy):
+                assert lazy.densest_subset() == eager.densest_subset()
+            step += 1
+            if step % 25 == 0:
+                lazy.check_wrapper_invariants(strict_above_active=False)
+                assert _udshp_state(lazy) == _udshp_state(eager)
+                assert _pending_order(lazy) == _pending_order(eager)
+                for j, copy in lazy.copies.items():
+                    assert _hop_decisions(copy) == _hop_decisions(eager.copies[j]), j
+                assert lazy.stats()["deferred"] == lazy.stats()["log"] == 0
+    stats = lazy.stats()
+    assert stats["catch_ups"] == len(replays) and stats["replayed"] == sum(replays)
+    assert eager.stats()["deferred"] == 0
+    assert deferred >= 1 and multi_level >= 1 and max(replays) >= 50, (
+        deferred, multi_level, sorted(replays)[-5:])
+
+
+def test_deferred_copies_take_no_inserts(monkeypatch):
+    # insert-only: no retreat catches a deferred copy up, so its Hop takes no
+    # insert after it is deferred, and the structure makes fewer Hop inserts
+    # than a twin that catches every copy up after each update
+    args = dict(n=12, m_bound=300, r=3, epsilon=0.3, dup_constant=0.05)
+    lazy, eager = Udshp(**args), _CatchUpEveryStep(**args)
+    calls = collections.Counter()
+    insert = Hop.insert
+
+    def counted(hop, handle, verts):
+        # on the class, so copies forked off later are counted too
+        calls[hop] += 1
+        insert(hop, handle, verts)
+
+    monkeypatch.setattr(Hop, "insert", counted)
+    at_deferral = {}  # deferred copy -> its Hop's inserts when deferred
+    rng = random.Random(4)
+    for _ in range(120):
+        verts = rng.sample(range(4 if rng.random() < 0.5 else args["n"]), rng.randint(2, 3))
+        lazy.insert(verts)
+        eager.insert(verts)
+        assert lazy.active == eager.active
+        assert lazy.max_density() == eager.max_density()
+        for j in lazy._deferred:
+            at_deferral.setdefault(j, calls[lazy.copies[j]])
+    assert lazy.active >= 4 and at_deferral
+    assert lazy.stats()["catch_ups"] == 0
+    for j, count in at_deferral.items():
+        assert calls[lazy.copies[j]] == count, f"deferred copy {j} took inserts"
+
+    def total(u):
+        return sum(calls[hop] for hop in set(u.copies.values()))
+
+    assert total(lazy) < total(eager), (total(lazy), total(eager))
