@@ -75,8 +75,27 @@ rather than one because an index that moves between two adjacent levels
 would otherwise catch up the lower one at every fall; at two below such
 an oscillation never reaches a deferred copy.  A deferred copy's work is
 not saved if the index falls back to it: the retreat that reaches it
-pays for replaying every update since it was deferred.  In an
-insert-only stream no copy is ever caught up.
+pays for replaying every update the copy has not taken.
+
+The log is bounded by the peak units, the most units live at once so
+far: an update that leaves it longer replays its oldest entries into the
+copies that have not taken them, until it fits.  So the log, and the
+units and pending entries a deferred copy keeps for edges deleted since
+it was deferred, stay within what the structure held at its fullest; and
+a catch-up takes at most about three times as many unit operations as
+the peak (each unit an insert in the log carries is live or deleted
+later in the log).  A replay makes the Hop calls the copy would have
+made had it taken each update as it came, so deferring never adds Hop
+work, and it saves only the updates no replay reaches.  Once a stream
+whose index stays high has filled the log, each update replays about as
+many entries into each lagging copy as it logs, so a window stream saves
+at most one log per deferred copy.  The bound is the peak rather than
+the live count because a live-count bound would grow the excess by two
+or more entries per deleted unit while the live count falls, so that
+every delete would replay that many entries into each lagging copy.  In
+an insert-only stream the log gains one entry per edge and the live
+count at least one unit, so no copy is ever caught up and every deferred
+insert is saved.
 """
 
 from __future__ import annotations
@@ -109,8 +128,11 @@ class Udshp:
     exact, and the update that does so pays for the build.  A copy that
     owns its Hop and lies two or more below the index is deferred: its
     Hop and pending index stand still until the index falls onto it, and
-    that retreat pays for replaying the updates it missed.  ``stats()``
-    counts the deferrals and replays.
+    that retreat pays for replaying the updates it missed.  The log never
+    holds more entries than the most units live at once so far: an update
+    that would leave it longer replays its oldest entries into the copies
+    that lag on them.
+    ``stats()`` counts the deferrals and replays.
     """
 
     def __init__(
@@ -152,9 +174,12 @@ class Udshp:
         self._next_public = 0
         self._next_internal = 0
         self._live_units = 0
+        # the most units live at once so far
+        self._peak_units = 0
         # deferred copy -> the first log entry it has not taken; the log holds
         # (insert?, units, vertex set) from the oldest deferred copy's
-        # position on: an insert's unit range, or one deleted unit
+        # position on: an insert's unit range, or one deleted unit; between
+        # updates it holds at most _peak_units entries
         self._deferred: Dict[int, int] = {}
         self._log: List[Tuple[bool, Union[range, int], EdgeVerts]] = []
         self._catch_ups = 0
@@ -203,22 +228,21 @@ class Udshp:
 
     # -- deferred copies -----------------------------------------------
 
-    def _catch_up(self, j: int) -> None:
-        """Replay into deferred copy j the logged updates it has not taken.
+    def _replay(self, j: int, end: int) -> None:
+        """Replay into deferred copy j the log entries from its position to `end`.
 
         Each is applied as ``_insert_units`` and ``_delete_internal`` apply
         it to a copy below the index: an insert takes units until every
         member's load is at least 2**j and withholds the rest of the edge,
         and a delete unpends the unit or deletes it and swaps in the first
-        withheld edge at the head.
+        withheld edge at the head.  The copy stays deferred, at `end`.
         """
-        log = self._log
         deferred = self._deferred
-        start = deferred.pop(j)
+        start = deferred[j]
         copy = self.copies[j]
         load = copy.loads().__getitem__
         full = 2 ** j
-        for inserting, units, verts in log[start:]:
+        for inserting, units, verts in self._log[start:end]:
             if not inserting:
                 self._delete_from(j, copy, units, verts, True)
                 continue
@@ -227,14 +251,39 @@ class Udshp:
                     self._withhold(j, units[k:], verts)
                     break
                 copy.insert(h, verts)
+        deferred[j] = end
         self._catch_ups += 1
-        self._replayed += len(log) - start
-        # keep the log from the oldest deferred copy's position on
+        self._replayed += end - start
+
+    def _trim_log(self) -> None:
+        """Drop the log entries every deferred copy has taken."""
+        log = self._log
+        deferred = self._deferred
         oldest = min(deferred.values(), default=len(log))
         if oldest:
             del log[:oldest]
             for i in deferred:
                 deferred[i] -= oldest
+
+    def _catch_up(self, j: int) -> None:
+        """Replay the whole log into deferred copy j, which is deferred no more."""
+        self._replay(j, len(self._log))
+        del self._deferred[j]
+        self._trim_log()
+
+    def _bound_log(self) -> None:
+        """Replay the log's oldest entries until the log fits the peak units.
+
+        Each copy that has not taken the entries beyond the bound takes just
+        those, so an update replays about as many entries per lagging copy
+        as it logged, much as that copy would have taken them had it not
+        been deferred.
+        """
+        deferred = self._deferred
+        while len(self._log) > self._peak_units:
+            oldest = min(deferred, key=deferred.__getitem__)
+            self._replay(oldest, len(self._log) - self._peak_units)
+            self._trim_log()
 
     def _catch_up_all(self) -> None:
         """Catch every deferred copy up, so that each copy's state is current."""
@@ -406,6 +455,10 @@ class Udshp:
         self._insert_units(internals, verts)
         self._public[handle] = (verts, internals)
         self._live_units += units
+        if self._live_units > self._peak_units:
+            self._peak_units = self._live_units
+        if len(self._log) > self._peak_units:
+            self._bound_log()
         return handle
 
     def delete(self, handle: int) -> None:
@@ -415,6 +468,8 @@ class Udshp:
         self._live_units -= len(internals)
         for ih in internals:
             self._delete_internal(ih, verts)
+        if len(self._log) > self._peak_units:
+            self._bound_log()
 
     def max_density(self) -> float:
         """Current (1+eps)-approximate max density of the logical multiset."""
@@ -431,9 +486,10 @@ class Udshp:
     def stats(self) -> Dict[str, int]:
         """Deferral counters.
 
-        ``deferred`` copies deferred now; ``catch_ups`` and ``replayed`` the
-        catch-ups and the log entries they replayed so far; ``log`` the log's
-        current length.
+        ``deferred`` copies deferred now; ``catch_ups`` the replays into
+        deferred copies so far, whole (a retreat's) or in part (the log
+        bound's), and ``replayed`` the log entries they took; ``log`` the
+        log's current length.
         """
         return {
             "deferred": len(self._deferred),
@@ -459,7 +515,8 @@ class Udshp:
         withhold nothing; that holds whenever the active index has never
         retreated past a copy with pending edges (e.g. insertion-only runs).
         Each deferred copy must own its Hop and lie below the index, the log
-        must start at the oldest deferred copy's position and be empty when
+        must start at the oldest deferred copy's position, hold no more
+        entries than the most units live at once so far and be empty when
         no copy is deferred; the copies are then caught up and checked.
         """
         copies = self.copies
@@ -473,6 +530,7 @@ class Udshp:
             "log holds entries no deferred copy needs"
         )
         assert self._deferred or not self._log, "log kept with no copy deferred"
+        assert len(self._log) <= self._peak_units, "log longer than the peak units"
         self._catch_up_all()
         live = {
             ih: verts for verts, internals in self._public.values() for ih in internals

@@ -8,6 +8,7 @@ import pytest
 from dynadense.hop import Hop
 from dynadense.model import WeightedHypergraph, density, log2c
 from dynadense.oracles import exact_densest_bruteforce
+import dynadense.udshp as udshp_module
 from dynadense.udshp import Udshp
 
 
@@ -625,38 +626,37 @@ def test_runs_built_after_deletes_hold_every_live_unit(seed):
     assert after_deletes
 
 
-class _CatchUpEveryStep(Udshp):
-    """Catches every deferred copy up after each update, so none lags."""
+class _NeverDefers(Udshp):
+    """Defers no copy, so every copy takes each update as it comes."""
 
-    def insert(self, vertices, copies=1):
-        handle = super().insert(vertices, copies)
-        self._catch_up_all()
-        return handle
-
-    def delete(self, handle):
-        super().delete(handle)
-        self._catch_up_all()
+    def _insert_units(self, handles, verts):
+        defer_below = udshp_module.DEFER_BELOW
+        udshp_module.DEFER_BELOW = self.num_copies + 1
+        try:
+            super()._insert_units(handles, verts)
+        finally:
+            udshp_module.DEFER_BELOW = defer_below
 
 
 @pytest.mark.parametrize("dup_constant,seed", [(0.0, 6), (0.05, 3)])
-def test_deferred_copies_match_copies_caught_up_every_step(dup_constant, seed):
+def test_deferred_copies_match_copies_never_deferred(dup_constant, seed):
     # grow/shrink churn whose live count swings 120 <-> 8, with counted
     # inserts: the copies two or more below the index are deferred and
     # caught up when a retreat reaches them, or here every 25 steps, so a
-    # replay spans many updates; the twin catches up after every update.
+    # replay spans many updates; the twin defers no copy.
     # A retreat over two levels in one delete is rare, and each seed is
     # one whose stream makes one
     args = dict(n=30, m_bound=400, r=3, epsilon=0.3, dup_constant=dup_constant)
-    lazy, eager = Udshp(**args), _CatchUpEveryStep(**args)
+    lazy, eager = Udshp(**args), _NeverDefers(**args)
     assert lazy.dup == (1 if dup_constant == 0.0 else 9)
-    replays = []  # log entries each catch-up of `lazy` replayed
-    catch_up = lazy._catch_up
+    replays = []  # log entries each replay into a copy of `lazy` took
+    replay = lazy._replay
 
-    def recorded(j):
-        replays.append(len(lazy._log) - lazy._deferred[j])
-        catch_up(j)
+    def recorded(j, end):
+        replays.append(end - lazy._deferred[j])
+        replay(j, end)
 
-    lazy._catch_up = recorded
+    lazy._replay = recorded
     rng = random.Random(seed)
     window = collections.deque()
     multi_level = deferred = 0
@@ -698,9 +698,9 @@ def test_deferred_copies_match_copies_caught_up_every_step(dup_constant, seed):
 def test_deferred_copies_take_no_inserts(monkeypatch):
     # insert-only: no retreat catches a deferred copy up, so its Hop takes no
     # insert after it is deferred, and the structure makes fewer Hop inserts
-    # than a twin that catches every copy up after each update
+    # than a twin that defers no copy
     args = dict(n=12, m_bound=300, r=3, epsilon=0.3, dup_constant=0.05)
-    lazy, eager = Udshp(**args), _CatchUpEveryStep(**args)
+    lazy, eager = Udshp(**args), _NeverDefers(**args)
     calls = collections.Counter()
     insert = Hop.insert
 
@@ -729,3 +729,47 @@ def test_deferred_copies_take_no_inserts(monkeypatch):
         return sum(calls[hop] for hop in set(u.copies.values()))
 
     assert total(lazy) < total(eager), (total(lazy), total(eager))
+
+
+@pytest.mark.parametrize("dup_constant,seed,digest", [
+    (0.0, 0, "a5e4053aaab01c01b506db8d397210d3a971e0fc0b6019f62e7f177f3d0bed8d"),
+    (0.05, 1, "71f2d43956558c0fab467386d1ef3c22f423a251217f4733ea16aef6f85a537b"),
+])
+def test_log_stays_within_the_peak_units(dup_constant, seed, digest):
+    # a long window stream whose index stays high, so copies stay deferred
+    # for many turnovers of the live edges, then a shrink whose retreats
+    # reach them: the log never holds more entries than the most units live
+    # at once so far, so the bound replays into deferred copies while the
+    # index stays put. The digest reads only what a user sees after each
+    # step and was taken from a structure that defers no copy
+    args = dict(n=30, m_bound=400, r=3, epsilon=0.3, dup_constant=dup_constant)
+    u = Udshp(**args)
+    rng = random.Random(seed)
+    window = collections.deque()
+    digest_of = hashlib.sha256()
+    bounded = retreated = 0  # replays made by the bound and by retreats
+    peak = 0
+    low = u.num_copies  # lowest index once the window is full
+    for step in range(1800):
+        target = 60 if step < 1500 else 4
+        catch_ups, active = u.stats()["catch_ups"], u.active
+        if len(window) < target:
+            core = rng.random() < 0.6
+            verts = rng.sample(range(8 if core else args["n"]), rng.randint(2, 3))
+            window.append(u.insert(verts, rng.randint(1, 3)))
+            peak = max(peak, u.live_internal_count())
+        if len(window) > target or (len(window) > 1 and rng.random() < 0.5):
+            u.delete(window.popleft())
+        caught_up = u.stats()["catch_ups"] - catch_ups
+        if u.active < active:
+            retreated += caught_up
+        else:
+            bounded += caught_up
+        if 200 <= step < 1500:
+            low = min(low, u.active)
+        assert u.stats()["log"] <= peak, (step, peak, u.stats())
+        subset = sorted(u.densest_subset()) if len(u) else []
+        digest_of.update(repr((u.active, u.max_density(), subset)).encode())
+    assert digest_of.hexdigest() == digest
+    assert low >= 3 and bounded >= 1000 and retreated >= 50, (low, bounded, retreated)
+    u.check_wrapper_invariants(strict_above_active=False)
