@@ -1,23 +1,24 @@
 """Ensemble of HOP copies answering unweighted densest-subset queries.
 
 Keeps one HOP instance per power-of-two guess of the maximum load, an
-active index bracketing the true maximum, and per-copy indexes of the
-edges withheld from overloaded low-guess copies.  Each logical edge
+active index bracketing the true maximum, and per-copy counts of the
+units withheld from overloaded low-guess copies.  Each logical edge
 is duplicated a configured number of times so the active copy operates
 in the regime where its slack is at least 1.
 
 Each fact lives in one place: the public table maps a handle to its
-vertex set and the contiguous range of internal handles behind it, and
-a copy's Hop records which internal handles the copy holds.  A copy
-withholds exactly the live internal handles its Hop lacks.  Only copies
-below the active index withhold edges.
-
-Each copy indexes its withheld edges by vertex: per vertex, the withheld
-handles containing it, each with its vertex set, in withhold order, with
-no empty bucket.  Withhold order is handle order, since a handle is
-withheld only while it is being inserted.  A delete that frees capacity
-at a head vertex swaps in the first handle of that vertex's bucket,
-which is the first withheld edge containing the head, without a scan.
+vertex set and the contiguous range of internal (unit) handles behind
+it, and a copy's Hop records which units the copy holds.  A copy
+withholds exactly the live units its Hop lacks, and only copies below
+the active index withhold any.  Those of an edge are its last ones, so
+the copy keeps {edge key: withheld count}, the key being the end of the
+edge's unit range: unit ih is withheld iff ih >= key - count.  A suffix
+stays one, as an insert withholds the units from some k on, a swap-in
+takes the first withheld unit and a delete walks them front to back.
+Per vertex, the copy lists the keys of the withheld edges containing
+it, each with its vertex set, in withhold (that is, key) order, with no
+empty bucket, so a delete that frees capacity at a head vertex swaps in
+unit key - count of the first edge listed there, without a scan.
 
 Copies whose slacks decide alike (``Hop.decides_alike``: equal
 ceil(eta/2) below eta 4, equal eta from 4 on; the clamped low guesses
@@ -34,8 +35,8 @@ alone.  A copy never rejoins a run.
 
 An insert walks the runs upward, each through all of the edge's units,
 rather than each unit through all copies, and a copy that withholds a
-unit takes the rest of the edge into its pending index in one step
-(``_insert_units`` says why this is exact).  Deletes go unit by unit.
+unit withholds the rest of the edge in one step (``_insert_units`` says
+why this is exact).  Deletes go unit by unit.
 
 A run of copies is built only when an insert first carries the active
 index to the run's lowest copy (copy 1's run is built with the
@@ -57,51 +58,46 @@ reaches a run pays for replaying every live unit into it.
 The runs below the index are kept only so that the index can fall back
 onto them after deletes, so a copy that owns its Hop and lies two or more
 below the index is deferred: it takes no update until a retreat reaches
-it.  The structure logs the updates from the oldest deferred copy's
-position on (an insert as its unit range, a delete as one entry per unit,
-since a retreat can reach a copy between two units of a delete), and
-when the index falls onto a deferred copy, the copy replays the log
-before it is read.  This is exact.  A copy below the index makes every
-choice from its own Hop and pending index alone: an insert takes units
-until every member's load is at least 2**j and withholds the rest of the
-edge, and a delete unpends the unit or deletes it and swaps in the first
-withheld edge at the head.  Nothing else reads it: queries read the copy
-at the index, an insert moves the index only by reading copies at or
-above it, and a retreat reads each copy it falls onto, which it has
-caught up first.  So the replay makes the choices the copy would have
-made, in the same order.  Copies that share a run's Hop are never
-deferred, nor are runs above the index.  A copy is deferred at two below
-rather than one because an index that moves between two adjacent levels
-would otherwise catch up the lower one at every fall; at two below such
-an oscillation never reaches a deferred copy.  A deferred copy's work is
-not saved if the index falls back to it: the retreat that reaches it
-pays for replaying every update the copy has not taken.
+it, and then replays the log of the updates it missed before it is read
+(a delete is logged as one entry per unit, since a retreat can reach a
+copy between two units of a delete).  This is exact.  A copy below the
+index makes every choice from its own Hop and withheld units alone: an
+insert takes units until every member's load is at least 2**j and
+withholds the rest of the edge, and a delete unpends the unit or deletes
+it and swaps in the first withheld unit at the head.  Nothing else reads
+it: queries read the copy at the index, an insert moves the index only by
+reading copies at or above it, and a retreat reads each copy it falls
+onto, which it has caught up first.  So the replay makes the choices the
+copy would have made, in the same order.  Copies that share a run's Hop
+are never deferred, nor are runs above the index.  A copy is deferred at
+two below rather than one because an index that moves between two
+adjacent levels would otherwise catch up the lower one at every fall; at
+two below such an oscillation never reaches a deferred copy.  The retreat
+that reaches a deferred copy pays for replaying every update it missed.
 
 The log is bounded by the peak units, the most units live at once so
 far: an update that leaves it longer replays its oldest entries into the
-copies that have not taken them, until it fits.  So the log, and the
-units and pending entries a deferred copy keeps for edges deleted since
-it was deferred, stay within what the structure held at its fullest; and
-a catch-up takes at most about three times as many unit operations as
-the peak (each unit an insert in the log carries is live or deleted
-later in the log).  A replay makes the Hop calls the copy would have
-made had it taken each update as it came, so deferring never adds Hop
-work, and it saves only the updates no replay reaches.  Once a stream
-whose index stays high has filled the log, each update replays about as
-many entries into each lagging copy as it logs, so a window stream saves
-at most one log per deferred copy.  The bound is the peak rather than
-the live count because a live-count bound would grow the excess by two
-or more entries per deleted unit while the live count falls, so that
-every delete would replay that many entries into each lagging copy.  In
-an insert-only stream the log gains one entry per edge and the live
-count at least one unit, so no copy is ever caught up and every deferred
-insert is saved.
+copies that have not taken them, until it fits.  So the log, and what a
+deferred copy keeps of edges deleted since it was deferred, stay within
+what the structure held at its fullest, and a catch-up takes at most
+about three times as many unit operations as the peak (each unit an
+insert in the log carries is live or deleted later in the log).  A replay
+makes the Hop calls the copy would have made had it taken each update as
+it came, so deferring never adds Hop work.  Once a stream whose index
+stays high has filled the log, each update replays about as many entries
+into each lagging copy as it logs, so a window stream saves at most one
+log per deferred copy; an insert-only stream logs one entry per edge and
+gains at least one live unit, so it catches no copy up and saves every
+deferred insert.  The bound is the peak rather than the live count since
+a live-count bound would grow the excess by two or more entries per
+deleted unit while the live count falls, and every delete would replay
+that many entries into each lagging copy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .hop import Hop
 from .model import EdgeVerts, canonical_edge, log2c
@@ -123,16 +119,9 @@ class Udshp:
     integer weight c enters a unit-weight structure.
 
     ``copies`` holds the built copies only, 1 up to the top of the
-    highest built run.  A run is built from the live units when the
-    active index first reaches it, which the module docstring shows to be
-    exact, and the update that does so pays for the build.  A copy that
-    owns its Hop and lies two or more below the index is deferred: its
-    Hop and pending index stand still until the index falls onto it, and
-    that retreat pays for replaying the updates it missed.  The log never
-    holds more entries than the most units live at once so far: an update
-    that would leave it longer replays its oldest entries into the copies
-    that lag on them.
-    ``stats()`` counts the deferrals and replays.
+    highest built run; the module docstring says when runs are built and
+    copies deferred.  ``stats()`` counts the deferrals and replays and the
+    query copy's withheld units.
     """
 
     def __init__(
@@ -165,8 +154,9 @@ class Udshp:
         # the built copies, 1 up to the top of the highest built run; copies
         # whose slacks decide alike share one Hop until one of them forks
         self.copies: Dict[int, Hop] = {}
-        # per built copy: vertex -> {withheld handle containing it: its
-        # vertex set}, in withhold order
+        # per built copy: {edge key: withheld count}, and vertex -> {key of
+        # a withheld edge containing it: its vertex set}, in withhold order
+        self._withheld: Dict[int, Dict[int, int]] = {}
         self._pending_at: Dict[int, Dict[int, Dict[int, EdgeVerts]]] = {}
         self.active = 0
         # public handle -> (vertex set, its internal handles)
@@ -178,10 +168,10 @@ class Udshp:
         self._peak_units = 0
         # deferred copy -> the first log entry it has not taken; the log holds
         # (insert?, units, vertex set) from the oldest deferred copy's
-        # position on: an insert's unit range, or one deleted unit; between
-        # updates it holds at most _peak_units entries
+        # position on: an insert's units, or the range from a deleted unit to
+        # its edge's key; between updates it holds at most _peak_units entries
         self._deferred: Dict[int, int] = {}
-        self._log: List[Tuple[bool, Union[range, int], EdgeVerts]] = []
+        self._log: List[Tuple[bool, range, EdgeVerts]] = []
         self._catch_ups = 0
         self._replayed = 0
         self._build_run(1)
@@ -213,11 +203,8 @@ class Udshp:
     # -- active index maintenance --------------------------------------
 
     def _retreat_active(self) -> None:
-        """Lower the index while its copy is at most half full.
-
-        A deferred copy the index falls onto is caught up before it is
-        read, so this retreat pays for its replay.
-        """
+        """Lower the index while its copy is at most half full, catching up
+        each deferred copy it falls onto before it is read."""
         while (
             self.active >= 1
             and self.copies[self.active].max_in_degree() <= 2 ** (self.active - 1)
@@ -231,11 +218,8 @@ class Udshp:
     def _replay(self, j: int, end: int) -> None:
         """Replay into deferred copy j the log entries from its position to `end`.
 
-        Each is applied as ``_insert_units`` and ``_delete_internal`` apply
-        it to a copy below the index: an insert takes units until every
-        member's load is at least 2**j and withholds the rest of the edge,
-        and a delete unpends the unit or deletes it and swaps in the first
-        withheld edge at the head.  The copy stays deferred, at `end`.
+        Each is applied as an update applies it to a copy below the index
+        (the module docstring says how).  The copy stays deferred, at `end`.
         """
         deferred = self._deferred
         start = deferred[j]
@@ -244,7 +228,7 @@ class Udshp:
         full = 2 ** j
         for inserting, units, verts in self._log[start:end]:
             if not inserting:
-                self._delete_from(j, copy, units, verts, True)
+                self._delete_from(j, copy, units.start, units.stop, verts, True)
                 continue
             for k, h in enumerate(units):
                 if min(map(load, verts)) >= full:
@@ -275,9 +259,7 @@ class Udshp:
         """Replay the log's oldest entries until the log fits the peak units.
 
         Each copy that has not taken the entries beyond the bound takes just
-        those, so an update replays about as many entries per lagging copy
-        as it logged, much as that copy would have taken them had it not
-        been deferred.
+        those.
         """
         deferred = self._deferred
         while len(self._log) > self._peak_units:
@@ -306,6 +288,7 @@ class Udshp:
                 hop.insert(ih, verts)
         while j <= self.num_copies and hop.decides_alike(self._slacks[j]):
             self.copies[j] = hop
+            self._withheld[j] = {}
             self._pending_at[j] = {}
             j += 1
 
@@ -380,59 +363,60 @@ class Udshp:
         self.active = level
 
     def _withhold(self, j: int, rest: range, verts: EdgeVerts) -> None:
-        """Add the units `rest` of one edge to copy j's pending index."""
+        """Copy j withholds `rest`, the last units of one edge: O(r)."""
+        self._withheld[j][rest.stop] = len(rest)
         index = self._pending_at[j]
         for v in verts:
-            bucket = index.get(v)
-            if bucket is None:
-                index[v] = dict.fromkeys(rest, verts)
-            else:
-                bucket.update(dict.fromkeys(rest, verts))
+            index.setdefault(v, {})[rest.stop] = verts
 
-    def _unpend(self, j: int, handle: int, verts: EdgeVerts) -> None:
-        """Drop a withheld handle from copy j's index."""
-        index = self._pending_at[j]
-        for v in verts:
-            bucket = index[v]
-            del bucket[handle]
-            if not bucket:
-                del index[v]
+    def _unpend(self, j: int, key: int, verts: EdgeVerts) -> None:
+        """Count down copy j's withheld units of edge `key`; at 0 unlist it."""
+        counts = self._withheld[j]
+        counts[key] -= 1
+        if not counts[key]:
+            del counts[key]
+            index = self._pending_at[j]
+            for v in verts:
+                bucket = index[v]
+                del bucket[key]
+                if not bucket:
+                    del index[v]
 
     def _delete_from(
-        self, j: int, copy: Hop, handle: int, verts: EdgeVerts, swap: bool
+        self, j: int, copy: Hop, handle: int, key: int, verts: EdgeVerts, swap: bool
     ) -> bool:
-        """Remove one unit from copy j; returns whether its Hop held the unit.
+        """Remove unit `handle` of edge `key` from copy j; True if its Hop held it.
 
         With `swap` (copy j at or below the index), deleting frees capacity
-        at the copy's head vertex, and the first withheld edge containing
-        that head, if any, is pulled in.
+        at the copy's head vertex, and the first withheld unit of the first
+        edge listed at that head, if any, is pulled in.
         """
-        index = self._pending_at[j]
-        if handle in index.get(verts[0], ()):
-            self._unpend(j, handle, verts)
+        counts = self._withheld[j]
+        if handle >= key - counts.get(key, 0):
+            self._unpend(j, key, verts)
             return False
         head = copy.delete(handle)
         if swap:
-            bucket = index.get(head)
+            bucket = self._pending_at[j].get(head)
             if bucket is not None:
                 swapped, swapped_verts = next(iter(bucket.items()))
+                copy.insert(swapped - counts[swapped], swapped_verts)
                 self._unpend(j, swapped, swapped_verts)
-                copy.insert(swapped, swapped_verts)
         return True
 
-    def _delete_internal(self, handle: int, verts: EdgeVerts) -> None:
+    def _delete_internal(self, handle: int, key: int, verts: EdgeVerts) -> None:
         self._retreat_active()
         active = self.active
         deferred = self._deferred
         if deferred:
-            self._log.append((False, handle, verts))
+            self._log.append((False, range(handle, key), verts))
         deleted = None
         for j, copy in self.copies.items():
             if j in deferred:
                 continue
             if copy is deleted:
                 continue  # a shared Hop, already done; shared copies withhold nothing
-            if self._delete_from(j, copy, handle, verts, j <= active):
+            if self._delete_from(j, copy, handle, key, verts, j <= active):
                 deleted = copy
 
     # -- public operations ---------------------------------------------
@@ -467,7 +451,7 @@ class Udshp:
         verts, internals = self._public.pop(handle)
         self._live_units -= len(internals)
         for ih in internals:
-            self._delete_internal(ih, verts)
+            self._delete_internal(ih, internals.stop, verts)
         if len(self._log) > self._peak_units:
             self._bound_log()
 
@@ -484,33 +468,36 @@ class Udshp:
         return self.copies[q].query_subset(self._slacks[q])
 
     def stats(self) -> Dict[str, int]:
-        """Deferral counters.
+        """Deferral counters and the query copy's withheld units.
 
         ``deferred`` copies deferred now; ``catch_ups`` the replays into
         deferred copies so far, whole (a retreat's) or in part (the log
         bound's), and ``replayed`` the log entries they took; ``log`` the
-        log's current length.
+        log's current length; ``query_withheld`` the units the query copy
+        withholds now, summed from its counts.
         """
         return {
             "deferred": len(self._deferred),
             "catch_ups": self._catch_ups,
             "replayed": self._replayed,
             "log": len(self._log),
+            "query_withheld": sum(self._withheld[self._query_copy_index()].values()),
         }
 
     # -- invariant checks (test support) -------------------------------
 
     def check_wrapper_invariants(self, strict_above_active: bool = True) -> None:
-        """Each copy's Hop and pending index must partition the live edges.
+        """Each copy's Hop and withheld counts must partition the live units.
 
-        A copy's Hop must hold only live internal handles, and its pending
-        index must list, per vertex, exactly the live handles the Hop lacks
-        that contain the vertex, each with its vertex set, in handle order,
-        with no empty bucket.  Each copy's Hop must decide as a Hop at the
-        copy's slack would, and copies sharing a Hop must be contiguous and
-        withhold nothing.  The built copies must be 1 up to the top of a
-        whole run, with the active index below the first unbuilt copy, and
-        the live unit count must match the public table.
+        A copy's Hop must hold only live units and lack of each live edge a
+        suffix of its units, as long as the copy's count for the edge, which
+        is positive or absent; per vertex, the pending index must list by key
+        exactly the counted edges that contain the vertex, with their vertex
+        sets, in key order, with no empty bucket.  Each copy's Hop must
+        decide as a Hop at the copy's slack would, and copies sharing a Hop
+        must be contiguous and withhold nothing.  The built copies must be 1
+        up to the top of a whole run, with the active index below the first
+        unbuilt copy, and the live unit count must match the public table.
         With strict_above_active, copies above the active index must
         withhold nothing; that holds whenever the active index has never
         retreated past a copy with pending edges (e.g. insertion-only runs).
@@ -532,12 +519,11 @@ class Udshp:
         assert self._deferred or not self._log, "log kept with no copy deferred"
         assert len(self._log) <= self._peak_units, "log longer than the peak units"
         self._catch_up_all()
-        live = {
-            ih: verts for verts, internals in self._public.values() for ih in internals
-        }
+        live = {ih for _, internals in self._public.values() for ih in internals}
         assert self._live_units == len(live), "live unit count diverged"
         built = len(copies)
-        assert list(copies) == list(self._pending_at) == list(range(1, built + 1))
+        assert (list(copies) == list(self._withheld) == list(self._pending_at)
+                == list(range(1, built + 1)))
         assert self.active <= built
         if built < self.num_copies:
             assert not copies[built].decides_alike(self._slacks[built + 1]), (
@@ -553,14 +539,28 @@ class Udshp:
             if copy is copies.get(j - 1) or copy is copies.get(j + 1):
                 assert not index, f"copy {j} shares its Hop but withholds edges"
             inserted = {h for h, _ in copy.edges()}
-            assert inserted <= live.keys(), f"copy {j}: Hop holds a dead handle"
+            assert inserted <= live, f"copy {j}: Hop holds a dead handle"
+            counts: Dict[int, int] = {}
             expected: Dict[int, List[Tuple[int, EdgeVerts]]] = {}
-            for h in sorted(live.keys() - inserted):
-                for v in live[h]:
-                    expected.setdefault(v, []).append((h, live[h]))
+            for verts, internals in self._public.values():
+                key = internals.stop
+                lacked = [ih for ih in internals if ih not in inserted]
+                assert lacked == list(range(key - len(lacked), key)), (
+                    f"copy {j}: edge {key} withholds units that are no suffix"
+                )
+                if lacked:
+                    counts[key] = len(lacked)
+                    for v in verts:
+                        expected.setdefault(v, []).append((key, verts))
+            assert list(self._withheld[j].items()) == list(counts.items()), (
+                f"copy {j}: withheld counts diverged"
+            )
+            assert all(key in counts for bucket in index.values() for key in bucket), (
+                f"copy {j}: pending index lists an edge it does not withhold"
+            )
             actual = {v: list(bucket.items()) for v, bucket in index.items()}
             assert actual == expected, f"copy {j}: pending index diverged"
             if strict_above_active and j > self.active:
-                assert not expected, (
+                assert not counts, (
                     f"copy {j} above active={self.active} must hold all live edges"
                 )

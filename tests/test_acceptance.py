@@ -290,7 +290,7 @@ def _assert_udshp_empty(u: Udshp) -> None:
     assert not u._public
     for j, copy in u.copies.items():
         assert len(copy) == 0, f"copy {j} not empty"
-        assert not u._pending_at[j]
+        assert not u._pending_at[j] and not u._withheld[j]
         _assert_hop_empty(copy)
     u.check_wrapper_invariants()
 

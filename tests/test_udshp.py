@@ -12,11 +12,18 @@ import dynadense.udshp as udshp_module
 from dynadense.udshp import Udshp
 
 
+def _units(counts, key, verts):
+    """The withheld (unit handle, vertex set) pairs of edge `key`: its last
+    `counts[key]` units."""
+    return [(ih, verts) for ih in range(key - counts[key], key)]
+
+
 def _withheld(u, j):
-    """Copy j's withheld (handle, vertex set) pairs, in handle order."""
+    """Copy j's withheld (unit handle, vertex set) pairs, in handle order."""
     u._catch_up_all()
-    index = u._pending_at[j]
-    return sorted({h: vs for bucket in index.values() for h, vs in bucket.items()}.items())
+    edges = {key: vs for bucket in u._pending_at[j].values() for key, vs in bucket.items()}
+    counts = u._withheld[j]
+    return [unit for key in sorted(counts) for unit in _units(counts, key, edges[key])]
 
 
 def test_duplication_formula():
@@ -89,42 +96,62 @@ def test_delete_of_pending_twin_leaves_copy_untouched():
 
 
 def test_wrapper_invariants_catch_a_corrupt_pending_index():
-    # the index must equal the live handles the Hop lacks, in handle order
-    rng = random.Random(3)
-    u = Udshp(5, m_bound=64, r=3, epsilon=0.5, dup_constant=0.0)
-    for _ in range(40):
-        u.insert(rng.sample(range(5), rng.randint(2, 3)))
-    u.check_wrapper_invariants()
-    j = max(u.copies, key=lambda j: len(_withheld(u, j)))
-    index = u._pending_at[j]
-    v, bucket = max(index.items(), key=lambda item: len(item[1]))
-    assert len(bucket) >= 2
-    held, held_verts = next(iter(u.copies[j].edges()))
-    withheld, withheld_verts = _withheld(u, j)[0]
-
-    def also_list_held():
-        bucket[held] = held_verts
-
-    def drop_withheld():
-        for w in withheld_verts:
-            del index[w][withheld]
-            if not index[w]:
-                del index[w]
-
-    def reorder():
-        items = list(bucket.items())[::-1]
-        bucket.clear()
-        bucket.update(items)
-
-    for corrupt in (also_list_held, drop_withheld, reorder):
-        saved = {w: dict(b) for w, b in index.items()}
-        corrupt()
-        with pytest.raises(AssertionError):
-            u.check_wrapper_invariants()
-        index.clear()
-        index.update(saved)
-        bucket = index[v]
+    # the counts must equal the live units the Hop lacks, and the index must
+    # list, in key order, exactly the edges with a count; at dup 3 a count
+    # one less can still leave units withheld
+    for dup_constant, dup, inserts in ((0.0, 1, 40), (0.1, 3, 15)):
+        rng = random.Random(3)
+        u = Udshp(5, m_bound=64, r=3, epsilon=0.5, dup_constant=dup_constant)
+        assert u.dup == dup
+        for _ in range(inserts):
+            u.insert(rng.sample(range(5), rng.randint(2, 3)))
         u.check_wrapper_invariants()
+        j = max(u.copies, key=lambda j: len(_withheld(u, j)))
+        counts, index = u._withheld[j], u._pending_at[j]
+        v, bucket = max(index.items(), key=lambda item: len(item[1]))
+        assert len(bucket) >= 2
+        held_key, held_verts = next(
+            (internals.stop, verts) for verts, internals in u._public.values()
+            if internals.stop not in counts)
+        withheld = next(iter(bucket))
+        most = max(counts, key=counts.get)
+        assert dup == 1 or counts[most] >= 2
+
+        def also_list_held():
+            bucket[held_key] = held_verts
+
+        def drop_withheld():
+            for w in bucket[withheld]:
+                del index[w][withheld]
+                if not index[w]:
+                    del index[w]
+
+        def drop_from_one_bucket():
+            del bucket[withheld]
+
+        def reorder():
+            items = list(bucket.items())[::-1]
+            bucket.clear()
+            bucket.update(items)
+
+        def count_one_more():
+            counts[withheld] += 1
+
+        def count_one_less():
+            counts[most] -= 1
+
+        for corrupt in (also_list_held, drop_withheld, drop_from_one_bucket, reorder,
+                        count_one_more, count_one_less):
+            saved = dict(counts), {w: dict(b) for w, b in index.items()}
+            corrupt()
+            with pytest.raises(AssertionError):
+                u.check_wrapper_invariants()
+            counts.clear()
+            counts.update(saved[0])
+            index.clear()
+            index.update(saved[1])
+            bucket = index[v]
+            u.check_wrapper_invariants()
 
 
 def test_insert_delete_round_trip_resets_everything():
@@ -322,6 +349,9 @@ def test_window_churn_stream_is_pinned(monkeypatch):
                 u.delete(window.popleft())
                 retreats += u.active < before
             pending = [[h for h, _ in _withheld(u, j)] for j in u.copies]
+            query = u.copies[max(u.active, 1)]
+            live = {ih for _, internals in u._public.values() for ih in internals}
+            assert u.stats()["query_withheld"] == len(live - {h for h, _ in query.edges()})
             state = (u.active, u.max_density(), sorted(u.densest_subset()), pending)
             digest.update(repr(state).encode())
     u.check_wrapper_invariants(strict_above_active=False)
@@ -372,7 +402,7 @@ class _UnitByUnit(Udshp):
         if self.active - start >= 2:
             self.seen["cascade within one unit"] += 1
 
-    def _insert_internal(self, handle, verts, k, withholding):
+    def _insert_internal(self, handle, key, verts, k, withholding):
         self._advance_active()
         active = self.active
         copies = self.copies
@@ -388,13 +418,10 @@ class _UnitByUnit(Udshp):
                 elif k > 0 and j not in withholding:
                     self.seen["unshared withhold from k > 0"] += 1
                 withholding.add(j)
-                index = self._pending_at[j]
+                counts = self._withheld[j]
+                counts[key] = counts.get(key, 0) + 1
                 for v in verts:
-                    bucket = index.get(v)
-                    if bucket is None:
-                        index[v] = {handle: verts}
-                    else:
-                        bucket[handle] = verts
+                    self._pending_at[j].setdefault(v, {})[key] = verts
             else:
                 copy.insert(handle, verts)
                 inserted = copy
@@ -406,13 +433,17 @@ class _UnitByUnit(Udshp):
         self._taken_verts = verts
         for k, ih in enumerate(handles):
             self._taken = handles[:k]
-            self._insert_internal(ih, verts, k, withholding)
+            self._insert_internal(ih, handles.stop, verts, k, withholding)
         self._taken = range(0)
 
 
 def _pending_order(u):
+    """Per copy and vertex, the withheld (unit handle, vertex set) pairs in
+    withhold order."""
     u._catch_up_all()
-    return {j: {v: list(bucket.items()) for v, bucket in index.items()}
+    return {j: {v: [unit for key, vs in bucket.items()
+                    for unit in _units(u._withheld[j], key, vs)]
+                for v, bucket in index.items()}
             for j, index in u._pending_at.items()}
 
 
