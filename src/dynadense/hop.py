@@ -283,14 +283,18 @@ class Hop:
     def _tight_out_edge(self, v: int) -> Optional[int]:
         """An edge of Out(v) whose head is loaded enough to take v's slot.
 
-        The first pass finds the highest head load over the groups of
-        Out(v).  Below d_in(v) + eta/2 nothing qualifies, and most calls
-        end there, so ties are broken only afterwards: among the groups
-        at that load, the most recently attached edge is returned.
+        Nothing qualifies below d_in(v) + eta/2.  When even the highest
+        load of any vertex is below that, the answer is None without
+        looking at Out(v).  Otherwise the first pass finds the highest
+        head load over the groups of Out(v), and most calls end there, so
+        ties are broken only afterwards: among the groups at that load,
+        the most recently attached edge is returned.
         """
-        out = self._out[v]
         deg = self._degs.deg
         limit = deg[v] + self.eta / 2.0
+        if self._degs.max_deg < limit:
+            return None
+        out = self._out[v]
         # plain loops: Out(v) is often a handful of groups, where building
         # a list or a bound method for max() costs more than the scan; an
         # empty Out(v) leaves best at -1, below the limit

@@ -1,10 +1,12 @@
 """Ground-truth and baseline densest-subset algorithms.
 
-The exhaustive oracle enumerates every nonempty subset of the support
-(vertices touched by edges), so it is exact and independent of the
-dynamic structures it verifies.  Arithmetic is pure integer / rational;
-the fast path uses an int64 subset-sum transform and confirms the
-maximum with exact cross-multiplication.
+The exhaustive oracle enumerates every nonempty subset of each
+connected component of the support (vertices touched by edges), so it
+is exact and independent of the dynamic structures it verifies.
+Arithmetic is pure integer / rational; the fast path uses an int64
+subset-sum transform and confirms the maximum with exact
+cross-multiplication.  The Gray-code path walks every subset of the
+whole support instead, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
-from .model import WeightedHypergraph
+from .model import EdgeVerts, WeightedHypergraph
 
 MAX_SUPPORT = 24
 
@@ -35,24 +37,20 @@ def _lex_key(mask: int, sup: List[int]) -> Tuple[int, ...]:
     return tuple(sup[i] for i in range(len(sup)) if mask >> i & 1)
 
 
-def exact_densest_bruteforce(graph: WeightedHypergraph) -> OracleResult:
-    """Exact densest subset by enumerating all subsets of the support.
+def _densest_by_transform(
+    edges: List[Tuple[EdgeVerts, int]], sup: List[int]
+) -> Tuple[int, int, Tuple[int, ...]]:
+    """Best (weight, size, smallest sorted tuple) over subsets of ``sup``.
 
-    Ties resolve to the lexicographically smallest vertex set.  Raises
-    on empty graphs or supports above MAX_SUPPORT vertices.
+    ``sup`` is sorted and holds every vertex of ``edges``.
     """
-    sup = _support_order(graph)
     s = len(sup)
-    if s == 0:
-        raise ValueError("exact oracle needs a nonempty hypergraph")
-    if s > MAX_SUPPORT:
-        raise ValueError(f"support size {s} exceeds oracle limit {MAX_SUPPORT}")
     idx = {v: i for i, v in enumerate(sup)}
 
     # g[mask] accumulates edge weights, then a subset-sum (zeta) transform
     # turns it into total induced weight per subset.  int64 stays exact.
     g = np.zeros(1 << s, dtype=np.int64)
-    for _, verts, weight in graph.edges():
+    for verts, weight in edges:
         mask = 0
         for v in verts:
             mask |= 1 << idx[v]
@@ -80,7 +78,63 @@ def exact_densest_bruteforce(graph: WeightedHypergraph) -> OracleResult:
         ):
             best_mask, best_num, best_den = mask, num, den
     assert best_mask is not None
-    return OracleResult(frozenset(_lex_key(best_mask, sup)), Fraction(best_num, best_den))
+    return best_num, best_den, _lex_key(best_mask, sup)
+
+
+def exact_densest_bruteforce(graph: WeightedHypergraph) -> OracleResult:
+    """Exact densest subset, enumerating each connected component's subsets.
+
+    A subset's density is the size-weighted average of its parts' in the
+    components it meets, so the optimum lies in one component, and the
+    maximizers are the unions of maximizers of the components that reach
+    it.  When several do, their union is enumerated once more, so ties
+    still resolve to the lexicographically smallest vertex set.  Raises
+    on empty graphs or supports above MAX_SUPPORT vertices.
+    """
+    sup = _support_order(graph)
+    s = len(sup)
+    if s == 0:
+        raise ValueError("exact oracle needs a nonempty hypergraph")
+    if s > MAX_SUPPORT:
+        raise ValueError(f"support size {s} exceeds oracle limit {MAX_SUPPORT}")
+
+    # union-find over the support; each edge joins its vertices
+    root = {v: v for v in sup}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    edges = [(verts, weight) for _, verts, weight in graph.edges()]
+    for verts, _ in edges:
+        a = find(verts[0])
+        for v in verts[1:]:
+            b = find(v)
+            if b != a:
+                root[b] = a
+    comp_verts: Dict[int, List[int]] = {}
+    for v in sup:  # sorted, so each component's list is sorted
+        comp_verts.setdefault(find(v), []).append(v)
+    comp_edges: Dict[int, List[Tuple[EdgeVerts, int]]] = {c: [] for c in comp_verts}
+    for e in edges:
+        comp_edges[find(e[0][0])].append(e)
+
+    best_num, best_den, best_set = 0, 1, ()
+    tied: List[int] = []
+    for c, verts in comp_verts.items():
+        num, den, key = _densest_by_transform(comp_edges[c], verts)
+        cmp = num * best_den - best_num * den
+        if cmp > 0:
+            best_num, best_den, best_set, tied = num, den, key, [c]
+        elif cmp == 0:
+            tied.append(c)
+    if len(tied) > 1:
+        _, _, best_set = _densest_by_transform(
+            [e for c in tied for e in comp_edges[c]],
+            sorted(v for c in tied for v in comp_verts[c]),
+        )
+    return OracleResult(frozenset(best_set), Fraction(best_num, best_den))
 
 
 def exact_densest_graycode(graph: WeightedHypergraph) -> OracleResult:

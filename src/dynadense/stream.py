@@ -132,7 +132,11 @@ def assign_weights(
     """Unit weights, or independent uniform integers reproducible by seed."""
     kind = weight_mode[0]
     if kind == "unit":
-        return [TemporalEvent(e.timestamp, e.vertices, 1) for e in events]
+        # events are frozen, so one already at weight 1 is kept as it is
+        return [
+            e if e.weight == 1 else TemporalEvent(e.timestamp, e.vertices, 1)
+            for e in events
+        ]
     if kind == "uniform":
         _, lo, hi, seed = weight_mode
         if lo > hi or lo < 1:

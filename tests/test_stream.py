@@ -181,6 +181,30 @@ class TestRunStream:
             if algo == "exact":
                 assert p.density_estimate == p.exact_density
 
+    def test_exact_window_stream_is_pinned(self):
+        # the first reports span two to four connected components, and the
+        # first two answers are unions of tied components; reports 6 and 8
+        # have supports above the oracle limit
+        events = random_events(random.Random(1), 60, n=24, t_step=3)
+        config = RunConfig(
+            algo="exact", mode="window", window_length=8, report_interval=1
+        )
+        points, _ = run_stream(events, config)
+        got = [(p.report_time, p.exact_density, tuple(sorted(p.subset)))
+               for p in points[:10]]
+        assert got == [
+            (1, 1 / 2, (0, 3, 8, 12, 15, 20)),
+            (2, 1 / 2, (0, 3, 8, 12, 15, 19, 20, 22)),
+            (3, 3 / 5, (0, 12, 15, 17, 20)),
+            (5, 3 / 5, (0, 12, 15, 17, 20)),
+            (6, None, ()),
+            (8, None, ()),
+            (9, 9 / 14, (0, 3, 6, 7, 10, 11, 13, 15, 16, 17, 18, 20, 21, 23)),
+            (10, 4 / 5, (7, 15, 16, 18, 23)),
+            (12, 3 / 4, (7, 15, 16, 18)),
+            (13, 5 / 9, (2, 6, 7, 9, 14, 15, 16, 18, 21)),
+        ]
+
     def test_dedupe_collapses_identical_sets(self):
         events = [ev(0, (0, 1)), ev(1, (1, 0)), ev(2, (0, 1)), ev(3, (2, 3))]
         seen = {}
@@ -238,6 +262,13 @@ _CSV_HEADER = (
 # report.csv bytes of the bundled mini fixture, pinned so that internal
 # restructuring of Hop, Udshp and Wdshp cannot change an answer unnoticed
 MINI_GOLDEN = {
+    "exact": (
+        ["--algo", "exact"],
+        _CSV_HEADER
+        + b"2001,0.750000,0.750000,0.000000,4,3,0.000000,0.000000\r\n"
+        b"2002,1.000000,1.000000,0.000000,1,1,0.000000,0.000000\r\n"
+        b"2003,1.000000,1.000000,0.000000,1,1,0.000000,0.000000\r\n",
+    ),
     "udshp": (
         ["--algo", "udshp", "--dup-constant", "0.2"],
         _CSV_HEADER
