@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     # desk-scale tuning knobs
     p.add_argument("--dup-constant", type=float, default=DUPLICATION_CONSTANT,
                    metavar="F",
-                   help="duplication constant (default: %(default)s, the analysis value)")
+                   help="duplication constant (default: %(default)s, the analysis value); "
+                        "a factor whose units overflow a machine-size range exits 3, "
+                        "and large ones below that are slow")
     p.add_argument("--oracle-limit", type=int,
                    default=DEFAULT_ORACLE_SUPPORT_LIMIT, metavar="N",
                    help="max live support for exact-density columns")

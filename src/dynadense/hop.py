@@ -25,8 +25,8 @@ Supporting structures per vertex:
   to the group holding the most recently attached edge, which is
   returned; no answer depends on the order of Out(v).
 
-A global degree->vertices bucket index supplies the max load and the
-level sets used by the subset query.
+A global degree->vertices bucket index supplies the max load, and the
+level sets and load sums that the subset query peels and certifies.
 
 Below eta 4 a Hop's choices read eta only through ceil(eta/2), so Hops
 at slacks 1.0 and 2.0, say, go through the same states
@@ -51,7 +51,7 @@ class _DegreeBuckets:
     """Multiset of per-vertex in-degrees with O(1) max tracking.
 
     Degrees change by +-1 only, which keeps the max current without a
-    search tree; level sets are enumerated by walking buckets downward.
+    search tree; the subset query walks the buckets downward from it.
     """
 
     def __init__(self, n: int) -> None:
@@ -80,14 +80,6 @@ class _DegreeBuckets:
         c.max_deg = self.max_deg
         return c
 
-    def at_least(self, threshold: float) -> Set[int]:
-        out: Set[int] = set()
-        d = self.max_deg
-        while d >= threshold and d >= 0:
-            out |= self.buckets.get(d, set())
-            d -= 1
-        return out
-
 
 class Hop:
     """Orientation maintainer with slack eta, set by the caller.
@@ -97,6 +89,10 @@ class Hop:
     whatever load guess they serve.  eta must be
     positive; inserting requires eta >= 1, since loads are integers.
     """
+
+    # how the last subset query ended (query_subset says what each means)
+    SUBSET_OUTCOMES = ("kept", "walked", "uncertified")
+    last_subset: Optional[str] = None
 
     def __init__(self, n: int, epsilon: float, eta: float) -> None:
         if n <= 0:
@@ -361,31 +357,116 @@ class Hop:
         return self._degs.max_deg * (1.0 - self.epsilon / 2.0)
 
     def query_subset(self, eta: Optional[float] = None) -> Set[int]:
-        """Level-set subset at slack eta (default: this Hop's own).
+        """Level-set subset at slack eta (default: this Hop's own), certified
+        from the loads where it can be.
 
-        A Hop shared by copies that decide alike answers each copy's
-        query at that copy's slack.
+        With S_x = {u: d_in(u) >= x} and d^ the max load, the peel lowers a
+        level from d^ by eta while S_{level-eta} has at least 1+gamma times
+        as many vertices as S_level, gamma = sqrt(2 eta log n / d^), and
+        stops at S_{level-eta}.  A Hop shared by copies that decide alike
+        answers each copy's query at that copy's slack.
+
+        The certificate: by the slack invariant every member of an edge
+        headed at v has load at least d_in(v) - eta', eta' the larger of
+        eta and this Hop's own slack, so for every t, S_{t-eta'} induces at
+        least the load sum of S_t.  S_{level-eta'} is kept when the load sum
+        of S_level is at least |S_{level-eta'}| d^/(1+eps).  Otherwise the
+        walk goes on down the loads t below the level and returns the first
+        S_{t-eta'} so certified; it ends once the mean load of S_t falls
+        below d^/(1+eps), since the mean only falls and no lower t can
+        certify.  If no level certifies, S_{level-eta} is returned as the
+        peel left it.  The count includes every vertex at load 0, the answer
+        only those on a live edge, so a certified answer has density at
+        least d^/(1+eps).  As every orientation of a multiset has a max load
+        at least its max density, a certified answer of a Hop that holds
+        the whole multiset is a (1+eps)-approximate densest subset.
+        ``last_subset`` names how the last query ended: "kept", "walked" or
+        "uncertified".
+
+        One walk down the degree buckets carries |S_x| and the load sum of
+        S_x, with a trailing walk for S_t; the set itself is built once, at
+        the end.
         """
         if not self._verts:
             raise ValueError("subset query on an empty structure")
-        d_hat = self._degs.max_deg
+        degs = self._degs
+        buckets = degs.buckets
+        d_hat = degs.max_deg
         if eta is None:
             eta = self.eta
-        gamma = math.sqrt(2.0 * eta * log2c(self.n) / d_hat)
+        reach = eta if eta >= self.eta else self.eta
+        ceil = math.ceil
+        grow = 1.0 + math.sqrt(2.0 * eta * log2c(self.n) / d_hat)
+        # the lead walks down the buckets holding S_x: x, |S_x| and its
+        # load sum; the peel keeps those of S_level
+        x = d_hat
+        size = len(buckets[x])
+        total = x * size
         level = float(d_hat)
-        a = self._degs.at_least(level)
-        b = self._degs.at_least(level - eta)
-        while len(b) >= (1.0 + gamma) * len(a):
+        level_x, level_size, level_total = x, size, total
+        while True:
+            low = ceil(level - eta)
+            if low < 0:
+                low = 0
+            while x > low:
+                x -= 1
+                bucket = buckets.get(x)
+                if bucket:
+                    count = len(bucket)
+                    size += count
+                    total += x * count
+            if size < grow * level_size:
+                break
             level -= eta
-            a = b
-            b = self._degs.at_least(level - eta)
-        if level - eta < 1:
-            # a threshold this low can reach bucket 0, which holds every
-            # vertex of the instance: keep only those on a live edge
-            # (dropping the others raises density)
-            deg, out = self._degs.deg, self._out
-            b = {v for v in b if deg[v] or out[v]}
-        return b
+            level_x, level_size, level_total = x, size, total
+        # the certificate, first of S_{level-reach}
+        target = d_hat / (1.0 + self.epsilon)
+        if reach != eta:
+            low = ceil(level - reach)
+            if low < 0:
+                low = 0
+            while x > low:
+                x -= 1
+                bucket = buckets.get(x)
+                if bucket:
+                    size += len(bucket)
+        if level_total >= size * target:
+            outcome, stop = "kept", level - reach
+        else:
+            # then of S_{t-reach} for each load t below the level, while
+            # the mean load of S_t can still certify; an integer t has
+            # ceil(t - reach) = t - lag
+            outcome, stop = "uncertified", level - eta
+            lag = int(reach)
+            t, t_size, t_total = level_x, level_size, level_total
+            while t > 1 and t_total >= t_size * target:
+                t -= 1
+                bucket = buckets.get(t)
+                if not bucket:
+                    continue
+                count = len(bucket)
+                t_size += count
+                t_total += t * count
+                while x > t - lag and x:
+                    x -= 1
+                    bucket = buckets.get(x)
+                    if bucket:
+                        size += len(bucket)
+                if t_total >= size * target:
+                    outcome, stop = "walked", t - reach
+                    break
+        self.last_subset = outcome
+        out: Set[int] = set()
+        for d in range(d_hat, max(ceil(stop), 1) - 1, -1):
+            bucket = buckets.get(d)
+            if bucket:
+                out |= bucket
+        if stop <= 0:
+            # bucket 0 holds every vertex of the instance at load 0: keep
+            # only those on a live edge (dropping the others raises density)
+            live = self._out
+            out.update([v for v in buckets[0] if live[v]])
+        return out
 
     # -- invariant checks (test support) -------------------------------
 

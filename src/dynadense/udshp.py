@@ -29,9 +29,17 @@ exact: a Hop's choices depend only on how its slack decides and on its
 operations, and a copy that has never withheld an edge has received
 every operation its run's Hop has, with no pending edge to swap in.
 Sharing copies form a contiguous run, and only its lowest member can
-withhold, since it has the smallest threshold over the same loads.  When
-it first does, it forks: it takes a clone of the run's Hop and goes on
-alone.  A copy never rejoins a run.
+withhold, since it has the smallest threshold over the same loads.  It
+forks only when it would withhold a unit while two or more below the
+index: it takes a clone of the run's Hop, withholds, and goes on alone.
+One below the index it keeps sharing and takes the unit, so it holds
+every live unit, as the copy at the index does.  No query reads it
+unless a retreat falls onto it, and then it answers from a Hop that
+holds every unit, with a subset certified as ``Hop.query_subset`` says.
+In an insert-only stream the index never falls, so the estimates are
+those of a copy at the index that never shared with a lower one, and the
+Hop work a forked copy one below would take is not done.  A copy never
+rejoins a run.
 
 An insert walks the runs upward, each through all of the edge's units,
 rather than each unit through all copies, and a copy that withholds a
@@ -68,8 +76,10 @@ it and swaps in the first withheld unit at the head.  Nothing else reads
 it: queries read the copy at the index, an insert moves the index only by
 reading copies at or above it, and a retreat reads each copy it falls
 onto, which it has caught up first.  So the replay makes the choices the
-copy would have made, in the same order.  Copies that share a run's Hop
-are never deferred, nor are runs above the index.  A copy is deferred at
+copy would have made, in the same order.  Only copies that own their Hop
+are deferred, and such a copy withholds by the same rule wherever it
+lies, so the replay needs no fork rule: copies that share a run's Hop are
+never deferred, nor are runs above the index.  A copy is deferred at
 two below rather than one because an index that moves between two
 adjacent levels would otherwise catch up the lower one at every fall; at
 two below such an oscillation never reaches a deferred copy.  The retreat
@@ -97,6 +107,7 @@ that many entries into each lagging copy.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .hop import Hop
@@ -116,12 +127,16 @@ class Udshp:
     duplication constant is configurable for desk-scale runs (default
     matches the conservative analysis constant).  ``insert(verts, c)``
     adds c unit copies of one edge under one handle, which is how an
-    integer weight c enters a unit-weight structure.
+    integer weight c enters a unit-weight structure.  The duplication
+    factor times m_bound must not exceed ``sys.maxsize``, since unit
+    handles must fit a machine-size range (ValueError otherwise); a large
+    finite factor below that limit is still slow, as every logical edge
+    costs up to dup Hop inserts per copy.
 
     ``copies`` holds the built copies only, 1 up to the top of the
     highest built run; the module docstring says when runs are built and
-    copies deferred.  ``stats()`` counts the deferrals and replays and the
-    query copy's withheld units.
+    copies deferred.  ``stats()`` counts the deferrals and replays, the
+    query copy's withheld units, the forks and how subset queries ended.
     """
 
     def __init__(
@@ -148,6 +163,11 @@ class Udshp:
         if not math.isfinite(dup):
             raise ValueError(f"duplication factor {dup} is not finite")
         self.dup = max(math.ceil(dup), 1)
+        if self.dup * m_bound > sys.maxsize:
+            raise ValueError(
+                f"duplication factor {self.dup:.3g} times m_bound {m_bound} exceeds "
+                f"{sys.maxsize}: unit handles must fit a machine-size range"
+            )
         self.num_copies = max(math.ceil(math.log2(m_bound * self.dup)), 1)
         self.slack_constant = slack_constant
         self._slacks = {i: self._slack(i) for i in range(1, self.num_copies + 1)}
@@ -174,6 +194,9 @@ class Udshp:
         self._log: List[Tuple[bool, range, EdgeVerts]] = []
         self._catch_ups = 0
         self._replayed = 0
+        self._forks = 0
+        # how each subset query ended (Hop.query_subset's outcome)
+        self._subsets = dict.fromkeys(Hop.SUBSET_OUTCOMES, 0)
         self._build_run(1)
 
     # -- bookkeeping ---------------------------------------------------
@@ -198,7 +221,7 @@ class Udshp:
         return max(eta, 1.0)
 
     def _query_copy_index(self) -> int:
-        return max(self.active, 1)
+        return self.active or 1
 
     # -- active index maintenance --------------------------------------
 
@@ -302,10 +325,13 @@ class Udshp:
         `reach` the unit at whose advance it got there: below `reach` the
         index had not yet reached the run.  A copy that withholds a unit
         leaves its Hop unchanged, and the index only rises here, so it
-        withholds every later unit of the edge as well.  An unbuilt run is
-        built when `level` has reached its lowest copy, before it takes
-        any unit of the edge; if `level` stops below it, that run and every
-        run above it would only take the units, so the walk stops there.
+        withholds every later unit of the edge as well.  The lowest member
+        of a shared run one below `level` takes the unit instead of forking,
+        so the run's Hop takes it for every member; two or more below, it
+        forks and withholds.  An unbuilt run is built when `level` has
+        reached its lowest copy, before it takes any unit of the edge; if
+        `level` stops below it, that run and every run above it would only
+        take the units, so the walk stops there.
         """
         copies = self.copies
         log = self._log
@@ -351,9 +377,12 @@ class Udshp:
                     reach = k
                 while low < level and min(map(load, verts)) >= 2 ** low:
                     if low < top:
+                        if low + 1 >= level:
+                            break  # one below the index: keep sharing
                         # the lowest member of a shared run withholds
                         # first: fork it off with the state the run has
                         copies[low] = hop.clone()
+                        self._forks += 1
                     self._withhold(low, handles[k:], verts)
                     low += 1
                 if low > top:
@@ -465,16 +494,24 @@ class Udshp:
         if not self._public:
             raise ValueError("densest-subset query on an empty structure")
         q = self._query_copy_index()
-        return self.copies[q].query_subset(self._slacks[q])
+        copy = self.copies[q]
+        subset = copy.query_subset(self._slacks[q])
+        self._subsets[copy.last_subset] += 1
+        return subset
 
     def stats(self) -> Dict[str, int]:
-        """Deferral counters and the query copy's withheld units.
+        """Deferral, fork and subset-query counters, and the query copy's
+        withheld units.
 
         ``deferred`` copies deferred now; ``catch_ups`` the replays into
         deferred copies so far, whole (a retreat's) or in part (the log
         bound's), and ``replayed`` the log entries they took; ``log`` the
         log's current length; ``query_withheld`` the units the query copy
-        withholds now, summed from its counts.
+        withholds now, summed from its counts; ``forks`` the copies that
+        have left a shared run; ``subsets_kept``, ``subsets_walked`` and
+        ``subsets_uncertified`` the subset queries whose peeled set was
+        certified, that walked on to a lower certified set, and that found
+        none (``Hop.query_subset``).
         """
         return {
             "deferred": len(self._deferred),
@@ -482,6 +519,8 @@ class Udshp:
             "replayed": self._replayed,
             "log": len(self._log),
             "query_withheld": sum(self._withheld[self._query_copy_index()].values()),
+            "forks": self._forks,
+            **{f"subsets_{outcome}": count for outcome, count in self._subsets.items()},
         }
 
     # -- invariant checks (test support) -------------------------------

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from dynadense.hop import Hop, _DegreeBuckets
+from dynadense.model import log2c
 
 
 def fill(hop, edges):
@@ -25,8 +27,8 @@ class TestDegreeBuckets:
             naive[v] += delta
             b.shift(v, delta)
             assert b.max_deg == max(naive)
-            t = rng.randint(0, max(naive))
-            assert b.at_least(t) == {v for v in range(n) if naive[v] >= t}
+            assert {d: vs for d, vs in b.buckets.items() if vs} == {
+                d: {v for v in range(n) if naive[v] == d} for d in set(naive)}
 
 
 class TestInsert:
@@ -440,3 +442,77 @@ class TestQueries:
         h.insert(0, (0, 1))
         s = h.query_subset()
         assert s and s <= {0, 1, 2, 3}
+
+
+def _induced_units(hop, subset):
+    return sum(set(verts) <= subset for _, verts in hop.edges())
+
+
+def _reference_subset(hop, eta):
+    """query_subset's answer and outcome, from level sets built one by one."""
+    deg, n, eps = hop.loads(), hop.n, hop.epsilon
+    reach = max(eta, hop.eta)
+    on_edge = {v for _, verts in hop.edges() for v in verts}
+
+    def size(x):
+        # the peel and the certificate count every vertex at load 0
+        return sum(d >= x for d in deg)
+
+    def level_set(x):
+        # the answer keeps only the vertices on a live edge
+        return {v for v in range(n) if deg[v] >= x and (deg[v] or v in on_edge)}
+
+    def load_sum(x):
+        return sum(d for d in deg if d >= x)
+
+    d_hat = max(deg)
+    gamma = math.sqrt(2.0 * eta * log2c(n) / d_hat)
+    level = float(d_hat)
+    while size(level - eta) >= (1.0 + gamma) * size(level):
+        level -= eta
+    target = d_hat / (1.0 + eps)
+    if load_sum(level) >= size(level - reach) * target:
+        return level_set(level - reach), "kept"
+    for t in sorted({d for d in deg if 1 <= d < math.ceil(level)}, reverse=True):
+        if load_sum(t) >= size(t - reach) * target:
+            return level_set(t - reach), "walked"
+    return level_set(level - eta), "uncertified"
+
+
+@pytest.mark.parametrize("eta", [1.0, 1.5, 2.0, 3.2, 4.0, 6.5])
+def test_subset_certificate_is_sound(eta):
+    # random Hops under inserts and deletes: for every t, S_{t-eta} (the
+    # vertices at load >= t - eta) induces at least the load sum of S_t,
+    # and a certified answer induces at least |S| d^/(1+eps) units; the
+    # answer matches a reference built from level sets, also when the
+    # query's slack is below the Hop's own
+    rng = random.Random(int(eta * 10))
+    outcomes = collections.Counter()
+    for trial in range(30):
+        n = rng.randint(4, 12)
+        h = Hop(n, rng.choice([0.1, 0.3, 0.6]), eta)
+        pool = [tuple(sorted(rng.sample(range(n), rng.randint(2, min(3, n)))))
+                for _ in range(rng.randint(2, 8))]
+        live, next_handle = [], 0
+        for _ in range(rng.randint(5, 120)):
+            if live and rng.random() < 0.3:
+                h.delete(live.pop(rng.randrange(len(live))))
+            else:
+                h.insert(next_handle, rng.choice(pool))
+                live.append(next_handle)
+                next_handle += 1
+        if not live:
+            continue
+        check_all(h)
+        deg = h.loads()
+        for t in range(max(deg) + 2):
+            loads = sum(d for d in deg if d >= t)
+            assert _induced_units(h, {v for v in range(n) if deg[v] >= t - eta}) >= loads
+        for query_eta in (eta, max(1.0, eta / 2)):
+            subset = h.query_subset(query_eta)
+            assert (subset, h.last_subset) == _reference_subset(h, query_eta)
+            outcomes[h.last_subset] += 1
+            if h.last_subset != "uncertified":
+                bound = len(subset) * max(deg) / (1.0 + h.epsilon)
+                assert _induced_units(h, subset) >= bound - 1e-9
+    assert set(outcomes) == set(Hop.SUBSET_OUTCOMES), outcomes

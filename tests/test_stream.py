@@ -340,6 +340,9 @@ def test_cli_out_blocked_by_a_file_exits_3_before_the_replay(out, tmp_path, caps
     # finite, but the duplication factor it gives overflows a float
     ["--dup-constant", "1e308"],
     ["--algo", "wdshp", "--dup-constant", "1e308"],
+    # finite, but dup times m_bound exceeds the range of unit handles
+    ["--dup-constant", "1e300"],
+    ["--algo", "wdshp", "--dup-constant", "1e300"],
     ["--epsilon", "1.5"],
     # past the exhaustive oracle's MAX_SUPPORT (24), or below 0
     ["--oracle-limit", "25"],
